@@ -15,8 +15,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -195,6 +197,133 @@ BENCHMARK_TEMPLATE(BM_EngineFanout, LegacyEventQueue)
 BENCHMARK_TEMPLATE(BM_EngineFanout, EventQueue)
     ->Name("BM_EngineFanout/wheel")
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * GpuSystem's epoch loop over sparse domains: 24 queues, of which 4
+ * run busy self-rescheduling actors and 20 hold only a far-heap timer
+ * plus inbox messages the busy ones send them — the shape of an SM
+ * waiting on responses. Every 16-cycle epoch polls nextAt() on each
+ * queue twice, as the drain loop does, so the cost of finding the
+ * next event of a queue whose wheel is empty shows here.
+ */
+class SparseDomains
+{
+  public:
+    static constexpr std::uint32_t kDomains = 24;
+    static constexpr std::uint32_t kBusy = 4;
+    static constexpr std::uint32_t kActors = 128; // spread over kBusy
+    static constexpr std::uint32_t kFiresPerActor = 500;
+    static constexpr Cycle kEpoch = 16;
+
+    SparseDomains()
+    {
+        for (std::uint32_t d = 0; d < kDomains; ++d)
+            queues_.push_back(std::make_unique<EventQueue>());
+        firesLeft_.assign(kActors, kFiresPerActor);
+        for (std::uint32_t a = 0; a < kActors; ++a)
+            queues_[a % kBusy]->scheduleAfter(nextDelta(rng_),
+                                              [this, a] { actorStep(a); });
+        for (std::uint32_t d = kBusy; d < kDomains; ++d)
+            timer(d);
+    }
+
+    /** Drain like GpuSystem::run's serial leader; returns events. */
+    std::uint64_t
+    run()
+    {
+        std::uint32_t seq = 0;
+        while (true) {
+            Cycle earliest = EventQueue::kNoEventCycle;
+            for (const auto &q : queues_)
+                earliest = std::min(earliest, q->nextAt());
+            if (earliest == EventQueue::kNoEventCycle)
+                break;
+            const Cycle limit = (earliest / kEpoch) * kEpoch + kEpoch - 1;
+            for (const auto &q : queues_) {
+                if (q->nextAt() <= limit)
+                    q->runUntil(limit);
+            }
+            // Barrier: deliver one epoch after the send, strictly in
+            // every receiver's future.
+            for (const Message &m : staged_)
+                queues_[m.dest]->postMessage(
+                    m.sent + kEpoch, m.sent, m.src, seq++,
+                    [this, d = m.dest] { onMessage(d); });
+            staged_.clear();
+        }
+        std::uint64_t events = 0;
+        for (const auto &q : queues_)
+            events += q->executedEvents();
+        return events;
+    }
+
+  private:
+    struct Message
+    {
+        Cycle sent;
+        std::uint32_t src;
+        std::uint32_t dest;
+    };
+
+    void
+    actorStep(std::uint32_t a)
+    {
+        const std::uint32_t d = a % kBusy;
+        if (rng_.next() % 8 == 0)
+            staged_.push_back(
+                Message{queues_[d]->now(), d,
+                        kBusy + static_cast<std::uint32_t>(
+                                    rng_.next() % (kDomains - kBusy))});
+        if (--firesLeft_[a] == 0) {
+            --actorsLeft_;
+            return;
+        }
+        queues_[d]->scheduleAfter(nextDelta(rng_),
+                                  [this, a] { actorStep(a); });
+    }
+
+    /** A sparse domain's reply to a message: half go back to a busy
+     *  domain. */
+    void
+    onMessage(std::uint32_t d)
+    {
+        if (rng_.next() % 2 == 0)
+            staged_.push_back(Message{
+                queues_[d]->now(), d,
+                static_cast<std::uint32_t>(rng_.next() % kBusy)});
+    }
+
+    /** Far beyond the wheel horizon, so the timer sits in the far heap
+     *  for most of its period; stops when the actors are done. */
+    void
+    timer(std::uint32_t d)
+    {
+        if (actorsLeft_ == 0)
+            return;
+        queues_[d]->scheduleAfter(20000 + rng_.next() % 10000,
+                                  [this, d] { timer(d); });
+    }
+
+    std::vector<std::unique_ptr<EventQueue>> queues_;
+    std::vector<std::uint32_t> firesLeft_;
+    std::uint32_t actorsLeft_ = kActors;
+    std::vector<Message> staged_;
+    SplitMix64 rng_{7};
+};
+
+void
+BM_EngineSparseDomains(benchmark::State &state)
+{
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        SparseDomains world;
+        events += world.run();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(events));
+    state.SetLabel("events/sec is items_per_second");
+}
+
+BENCHMARK(BM_EngineSparseDomains)->Unit(benchmark::kMillisecond);
 
 /**
  * Hot cost of one flight-recorder append: a 32-byte store into the

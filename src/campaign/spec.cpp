@@ -310,7 +310,7 @@ parseCampaignSpec(const std::string &text, std::string *error)
                     " points; refusing (limit 100000)");
 
     // Width of the zero-padded index in labels.
-    int digits = 3;
+    std::size_t digits = 3;
     for (std::size_t p = 1000; p <= total; p *= 10)
         ++digits;
 
@@ -330,14 +330,17 @@ parseCampaignSpec(const std::string &text, std::string *error)
             }
         }
 
-        char buf[16];
-        std::snprintf(buf, sizeof buf, "p%0*zu", digits, index);
-        point.label = buf;
+        const std::string number = std::to_string(index);
+        point.label = "p";
+        if (number.size() < digits)
+            point.label.append(digits - number.size(), '0');
+        point.label += number;
         for (std::size_t a = 0; a < axes.size(); ++a) {
             const auto &[knob, axis] = axes[a];
             const JsonValue &value = axis.asArray()[cursor[a]];
             point.axes.emplace_back(knob, valueString(value));
-            point.label += "_" + slug(valueString(value));
+            point.label += '_';
+            point.label += slug(valueString(value));
             std::string e;
             if (point_error.empty() &&
                 !applyKnob(point, knob, value, &e))

@@ -24,7 +24,10 @@
 #ifndef CACHECRAFT_COMMON_DOMAIN_HPP
 #define CACHECRAFT_COMMON_DOMAIN_HPP
 
+#include <compare>
 #include <cstdint>
+
+#include "common/types.hpp"
 
 namespace cachecraft {
 
@@ -38,6 +41,21 @@ inline thread_local std::int32_t tlsSimDomain = kDomainNone;
 
 /** The event queue of the currently executing domain (null outside). */
 inline thread_local EventQueue *tlsSimQueue = nullptr;
+
+/**
+ * Canonical merge key of one item a domain staged for the next epoch
+ * barrier: (cycle, source domain, index in that domain's lane). The
+ * leader applies staged items sorted by it, so the result is the same
+ * at any --shards value.
+ */
+struct StagedKey
+{
+    Cycle cycle;
+    std::uint32_t domain;
+    std::uint32_t index;
+
+    auto operator<=>(const StagedKey &) const = default;
+};
 
 /** RAII: enter a domain for the current scope (nestable, restoring). */
 class ScopedSimDomain

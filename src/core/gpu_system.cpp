@@ -153,6 +153,7 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
             // itself crosses the barrier later than the commit).
             storeStage_[s].push_back(
                 StagedStore{addr, smQueue(s).now()});
+            stagedStores_.fetch_add(1, std::memory_order_relaxed);
             const SliceId slice = sliceOf(addr);
             reqXbar_->send(slice, [this, slice, addr, tag] {
                 slices_[slice]->write(addr, tag);
@@ -258,45 +259,30 @@ GpuSystem::globalNow() const
 bool
 GpuSystem::anyStagedStores() const
 {
-    for (const auto &lane : storeStage_) {
-        if (!lane.empty())
-            return true;
-    }
-    return false;
+    return stagedStores_.load(std::memory_order_relaxed) != 0;
 }
 
 void
 GpuSystem::applyStagedStores()
 {
+    if (!anyStagedStores())
+        return;
     // Write-generation bumps must happen in a canonical order — two SMs
     // storing to the same sector in one epoch race otherwise — so the
     // leader commits every staged store sorted by (issue cycle, source
     // domain, lane index), identical at any --shards value.
-    struct Ref
-    {
-        Cycle cycle;
-        std::uint32_t domain;
-        std::uint32_t index;
-    };
-    std::vector<Ref> order;
+    storeOrder_.clear();
     for (std::uint32_t d = 0; d < storeStage_.size(); ++d) {
         for (std::uint32_t i = 0; i < storeStage_[d].size(); ++i)
-            order.push_back(Ref{storeStage_[d][i].cycle, d, i});
+            storeOrder_.push_back(
+                StagedKey{storeStage_[d][i].cycle, d, i});
     }
-    if (order.empty())
-        return;
-    std::sort(order.begin(), order.end(),
-              [](const Ref &a, const Ref &b) {
-                  if (a.cycle != b.cycle)
-                      return a.cycle < b.cycle;
-                  if (a.domain != b.domain)
-                      return a.domain < b.domain;
-                  return a.index < b.index;
-              });
-    for (const Ref &r : order)
+    std::sort(storeOrder_.begin(), storeOrder_.end());
+    for (const StagedKey &r : storeOrder_)
         onStore(storeStage_[r.domain][r.index].addr);
     for (auto &lane : storeStage_)
         lane.clear();
+    stagedStores_.store(0, std::memory_order_relaxed);
 }
 
 ecc::SectorData

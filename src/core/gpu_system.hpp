@@ -14,6 +14,7 @@
 #ifndef CACHECRAFT_CORE_GPU_SYSTEM_HPP
 #define CACHECRAFT_CORE_GPU_SYSTEM_HPP
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/arena.hpp"
+#include "common/domain.hpp"
 #include "core/config.hpp"
 #include "dram/storage.hpp"
 #include "faults/fault_index.hpp"
@@ -314,6 +316,9 @@ class GpuSystem
     FaultIndex faultIndex_;
     std::map<Addr, std::uint64_t> writeGeneration_;
     std::vector<std::vector<StagedStore>> storeStage_; //!< per SM domain
+    /** Stores in storeStage_; SM domains add concurrently. */
+    std::atomic<std::size_t> stagedStores_{0};
+    std::vector<StagedKey> storeOrder_; //!< applyStagedStores scratch
     bool initialized_ = false;
     bool ran_ = false;
     unsigned shards_ = 1;

@@ -82,42 +82,31 @@ Crossbar::send(unsigned port, SmallFn fn, std::uint64_t trace_id,
     staged_[static_cast<std::size_t>(tlsSimDomain)].push_back(
         Staged{std::move(fn), tlsSimQueue->now(), trace_id, port,
                response});
+    stagedCount_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
 Crossbar::applyStaged()
 {
+    if (stagedCount_.load(std::memory_order_relaxed) == 0)
+        return;
     // Canonical merge: (send cycle, source domain, source seq). Within
     // one lane entries are already in send order, so the sort key is a
     // total order over all staged messages.
-    struct Ref
-    {
-        Cycle sent;
-        std::uint32_t domain;
-        std::uint32_t index;
-    };
-    std::vector<Ref> order;
+    order_.clear();
     for (std::uint32_t d = 0; d < staged_.size(); ++d) {
         for (std::uint32_t i = 0; i < staged_[d].size(); ++i)
-            order.push_back(Ref{staged_[d][i].sent, d, i});
+            order_.push_back(StagedKey{staged_[d][i].sent, d, i});
     }
-    if (order.empty())
-        return;
-    std::sort(order.begin(), order.end(),
-              [](const Ref &a, const Ref &b) {
-                  if (a.sent != b.sent)
-                      return a.sent < b.sent;
-                  if (a.domain != b.domain)
-                      return a.domain < b.domain;
-                  return a.index < b.index;
-              });
-    for (const Ref &r : order) {
+    std::sort(order_.begin(), order_.end());
+    for (const StagedKey &r : order_) {
         Staged &m = staged_[r.domain][r.index];
         arbitrate(m.port, m.sent, m.traceId, m.response, std::move(m.fn),
                   r.domain, r.index);
     }
     for (auto &lane : staged_)
         lane.clear();
+    stagedCount_.store(0, std::memory_order_relaxed);
 }
 
 Cycle

@@ -29,9 +29,11 @@
 #ifndef CACHECRAFT_GPU_CROSSBAR_HPP
 #define CACHECRAFT_GPU_CROSSBAR_HPP
 
+#include <atomic>
 #include <string>
 #include <vector>
 
+#include "common/domain.hpp"
 #include "common/inplace_function.hpp"
 #include "common/types.hpp"
 #include "gpu/event_queue.hpp"
@@ -87,11 +89,7 @@ class Crossbar
     bool
     hasStaged() const
     {
-        for (const auto &lane : staged_) {
-            if (!lane.empty())
-                return true;
-        }
-        return false;
+        return stagedCount_.load(std::memory_order_relaxed) != 0;
     }
 
     /**
@@ -127,6 +125,9 @@ class Crossbar
     std::vector<Cycle> portFreeAt_;
     std::vector<EventQueue *> portQueues_;   //!< empty = immediate mode
     std::vector<std::vector<Staged>> staged_; //!< per source domain
+    /** Messages in staged_; sending domains add concurrently. */
+    std::atomic<std::size_t> stagedCount_{0};
+    std::vector<StagedKey> order_; //!< applyStaged scratch, reused
 };
 
 } // namespace cachecraft

@@ -9,13 +9,27 @@
  * Implementation: a bucketed timing wheel. Cycles within the near
  * horizon (now .. now + kWheelSlots) land in per-cycle FIFO buckets —
  * appending to a bucket is both O(1) and exactly insertion order, so
- * near events need no explicit sequence number. Events beyond the
- * horizon go to a small overflow heap keyed on (cycle, seq) and
- * migrate into their bucket as the clock approaches; migration runs
- * on every clock advance, i.e. before any event at the new horizon
- * edge could be scheduled directly, so bucket order always equals
- * global schedule order. Callbacks are fixed-capacity SmallFn values,
- * so steady-state scheduling performs no heap allocation at all.
+ * near events need no explicit sequence number. A bucket is a
+ * {head, tail} pair of node indices into an intrusive singly linked
+ * list; the nodes (a callback plus a next index) live in a per-queue
+ * slab of fixed 1024-node chunks with a LIFO free list threaded
+ * through the same next links (not a SlabArena: this path wants no
+ * per-access liveness check and no side arrays). Chunks never
+ * move, so an event runs in place in its node, which is then freed —
+ * re-entrant scheduling at now() appends behind it in the same drain,
+ * even when that grows the slab. Events beyond the horizon go to a
+ * small overflow heap keyed on (cycle, seq) and migrate into their
+ * bucket as the clock approaches; migration runs on every clock
+ * advance, i.e. before any event at the new horizon edge could be
+ * scheduled directly, so bucket order always equals global schedule
+ * order. Callbacks are fixed-capacity SmallFn values, so steady-state
+ * scheduling performs no heap allocation at all.
+ *
+ * The next pending cycle is found in O(1): an occupancy bitmap has one
+ * bit per slot, and a 64-bit summary word one bit per non-zero bitmap
+ * word, so the lookup is a countr_zero on the summary (masked to the
+ * words after now's, else wrapped to the start of the wheel) and one
+ * on the chosen word.
  *
  * Sharded runs add a second ingress: postMessage() delivers a
  * cross-domain message (a crossbar hop from another shard domain)
@@ -36,6 +50,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/inplace_function.hpp"
@@ -62,9 +77,7 @@ class EventQueue
         if (when < now_)
             panic("event scheduled in the past");
         if (when - now_ < kWheelSlots) {
-            const std::size_t slot = when & kWheelMask;
-            wheel_[slot].push_back(std::move(fn));
-            occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+            append(when & kWheelMask, std::move(fn));
         } else {
             far_.push_back(FarEvent{when, seq_, std::move(fn)});
             std::push_heap(far_.begin(), far_.end(), FarAfter{});
@@ -154,33 +167,30 @@ class EventQueue
                 --pending_;
                 fn();
             }
-            std::vector<EventFn> &bucket = wheel_[now_ & kWheelMask];
-            if (!bucket.empty()) {
-                // Re-reading size() each pass keeps re-entrant
-                // scheduling at now() in the same drain; moving the
-                // closure out first keeps a push_back-triggered
-                // reallocation from invalidating it.
-                std::size_t i = 0;
-                for (; i < bucket.size(); ++i) {
-                    if (budget == 0)
-                        break;
-                    --budget;
-                    EventFn fn = std::move(bucket[i]);
-                    ++executed_;
-                    --pending_;
-                    fn();
-                }
-                if (i < bucket.size()) {
-                    bucket.erase(bucket.begin(),
-                                 bucket.begin() +
-                                     static_cast<std::ptrdiff_t>(i));
+            // Unlink each event before running it in place, so
+            // re-entrant scheduling at now() appends behind it in this
+            // same drain and a valve trip leaves the rest linked.
+            const std::size_t slot = now_ & kWheelMask;
+            Bucket &bucket = wheel_[slot];
+            while (bucket.head != kNil) {
+                if (budget == 0) {
                     ++valveTrips_;
                     return false;
                 }
-                bucket.clear();
-                const std::size_t slot = now_ & kWheelMask;
-                occupied_[slot >> 6] &=
-                    ~(std::uint64_t{1} << (slot & 63));
+                --budget;
+                const std::uint32_t node = bucket.head;
+                bucket.head = nextOf(node);
+                if (bucket.head == kNil) {
+                    bucket.tail = kNil;
+                    markEmpty(slot);
+                }
+                EventFn &fn = fnOf(node);
+                ++executed_;
+                --pending_;
+                fn();
+                fn = nullptr;
+                nextOf(node) = freeHead_;
+                freeHead_ = node;
             }
             const Cycle next = nextEventCycle();
             if (next == kNoEvent)
@@ -241,6 +251,8 @@ class EventQueue
     static constexpr Cycle kNoEvent = ~Cycle{0};
     static_assert((kWheelSlots & (kWheelSlots - 1)) == 0,
                   "wheel size must be a power of two");
+    static_assert(kBitmapWords == 64,
+                  "one summary word covers the whole bitmap");
 
     /** An event beyond the wheel horizon; seq orders same-cycle ties
      *  against other far events (near events order by bucket FIFO). */
@@ -294,29 +306,35 @@ class EventQueue
     Cycle
     nextEventCycle() const
     {
-        Cycle next = kNoEvent;
-        const std::size_t start =
-            static_cast<std::size_t>(now_ & kWheelMask);
-        for (std::size_t scanned = 0; scanned < kWheelSlots;) {
-            const std::size_t slot = (start + scanned) & kWheelMask;
-            const std::uint64_t bits =
-                occupied_[slot >> 6] >> (slot & 63);
-            if (bits != 0) {
-                const std::size_t dist =
-                    scanned +
-                    static_cast<std::size_t>(std::countr_zero(bits));
-                if (dist < kWheelSlots) {
-                    next = now_ + dist;
-                    break;
-                }
-            }
-            scanned += 64 - (slot & 63);
-        }
+        Cycle next = summary_ != 0 ? now_ + wheelDistance() : kNoEvent;
         if (!far_.empty() && far_.front().when < next)
             next = far_.front().when;
         if (!inbox_.empty() && inbox_.front().when < next)
             next = inbox_.front().when;
         return next;
+    }
+
+    /** Cycles from now_ to the earliest occupied wheel slot; requires
+     *  summary_ != 0. Every wheel event lies in [now_, now_ +
+     *  kWheelSlots), so slots before now_'s are a wrap past slot
+     *  kWheelSlots - 1. */
+    std::size_t
+    wheelDistance() const
+    {
+        const std::size_t start = now_ & kWheelMask;
+        const std::size_t word = start >> 6;
+        const std::uint64_t here = occupied_[word] >> (start & 63);
+        if (here != 0)
+            return static_cast<std::size_t>(std::countr_zero(here));
+        // Words after now_'s; failing that, wrap to the lowest word,
+        // which may be now_'s own (its bits at or after now_ are zero).
+        const std::uint64_t later = summary_ & (~std::uint64_t{1} << word);
+        const auto w = static_cast<std::size_t>(
+            std::countr_zero(later != 0 ? later : summary_));
+        const std::size_t slot =
+            (w << 6) +
+            static_cast<std::size_t>(std::countr_zero(occupied_[w]));
+        return (slot - start) & kWheelMask;
     }
 
     /** Pull far events that entered the wheel horizon into their
@@ -326,13 +344,85 @@ class EventQueue
     {
         while (!far_.empty() && far_.front().when - now_ < kWheelSlots) {
             std::pop_heap(far_.begin(), far_.end(), FarAfter{});
-            FarEvent ev = std::move(far_.back());
+            append(far_.back().when & kWheelMask,
+                   std::move(far_.back().fn));
             far_.pop_back();
-            const std::size_t slot = ev.when & kWheelMask;
-            wheel_[slot].push_back(std::move(ev.fn));
-            occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
         }
     }
+
+    /** Link @p fn at the tail of @p slot's bucket. */
+    void
+    append(std::size_t slot, EventFn &&fn)
+    {
+        const std::uint32_t node = allocNode();
+        fnOf(node) = std::move(fn);
+        nextOf(node) = kNil;
+        Bucket &bucket = wheel_[slot];
+        if (bucket.tail == kNil)
+            bucket.head = node;
+        else
+            nextOf(bucket.tail) = node;
+        bucket.tail = node;
+        const std::size_t word = slot >> 6;
+        occupied_[word] |= std::uint64_t{1} << (slot & 63);
+        summary_ |= std::uint64_t{1} << word;
+    }
+
+    /** Clear @p slot's occupancy bit (its bucket just emptied). */
+    void
+    markEmpty(std::size_t slot)
+    {
+        const std::size_t word = slot >> 6;
+        occupied_[word] &= ~(std::uint64_t{1} << (slot & 63));
+        if (occupied_[word] == 0)
+            summary_ &= ~(std::uint64_t{1} << word);
+    }
+
+    /** A free node: the most recently freed one, else the next unused
+     *  node of the slab, adding a chunk when the slab is full. */
+    std::uint32_t
+    allocNode()
+    {
+        if (freeHead_ != kNil) {
+            const std::uint32_t node = freeHead_;
+            freeHead_ = nextOf(node);
+            return node;
+        }
+        if (slabUsed_ == chunks_.size() * kChunkNodes)
+            chunks_.push_back(std::make_unique<Chunk>());
+        return slabUsed_++;
+    }
+
+    EventFn &
+    fnOf(std::uint32_t node)
+    {
+        return chunks_[node / kChunkNodes]->fn[node % kChunkNodes];
+    }
+
+    std::uint32_t &
+    nextOf(std::uint32_t node)
+    {
+        return chunks_[node / kChunkNodes]->next[node % kChunkNodes];
+    }
+
+    /** Null node index: end of a bucket list or of the free list. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    static constexpr std::uint32_t kChunkNodes = 1024;
+
+    /** One wheel slot: a FIFO list of slab nodes (kNil when empty). */
+    struct Bucket
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+    };
+
+    /** kChunkNodes slab nodes, split into callbacks (one cache line
+     *  each) and next links (live and free lists share them). */
+    struct alignas(64) Chunk
+    {
+        std::array<EventFn, kChunkNodes> fn;
+        std::array<std::uint32_t, kChunkNodes> next;
+    };
 
     Cycle now_ = 0;
     std::uint64_t seq_ = 0;
@@ -340,8 +430,12 @@ class EventQueue
     std::uint64_t pending_ = 0;
     std::uint64_t peakDepth_ = 0;
     std::uint64_t valveTrips_ = 0;
-    std::array<std::vector<EventFn>, kWheelSlots> wheel_;
+    std::array<Bucket, kWheelSlots> wheel_;
     std::array<std::uint64_t, kBitmapWords> occupied_{};
+    std::uint64_t summary_ = 0; //!< bit w: occupied_[w] != 0
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::uint32_t slabUsed_ = 0; //!< nodes ever handed out
+    std::uint32_t freeHead_ = kNil;
     std::vector<FarEvent> far_;
     std::vector<InboxMsg> inbox_; //!< min-heap, see InboxAfter
 };

@@ -101,28 +101,15 @@ Profiler::applyStagedStalls()
     // Canonical merge: the union clip is order-sensitive, so staged
     // charges apply in (from, source domain, lane index) order — the
     // same total order at any --shards value.
-    struct Ref
-    {
-        Cycle from;
-        std::uint32_t domain;
-        std::uint32_t index;
-    };
-    std::vector<Ref> order;
+    std::vector<StagedKey> order;
     for (std::uint32_t d = 0; d < staged_.size(); ++d) {
         for (std::uint32_t i = 0; i < staged_[d].size(); ++i)
-            order.push_back(Ref{staged_[d][i].from, d, i});
+            order.push_back(StagedKey{staged_[d][i].from, d, i});
     }
     if (order.empty())
         return;
-    std::sort(order.begin(), order.end(),
-              [](const Ref &a, const Ref &b) {
-                  if (a.from != b.from)
-                      return a.from < b.from;
-                  if (a.domain != b.domain)
-                      return a.domain < b.domain;
-                  return a.index < b.index;
-              });
-    for (const Ref &r : order) {
+    std::sort(order.begin(), order.end());
+    for (const StagedKey &r : order) {
         const StagedStall &s = staged_[r.domain][r.index];
         applyStall(s.reason, s.from, s.to);
     }

@@ -115,8 +115,9 @@ TEST(CurveExactness, OnePassMatchesBruteForceAcrossSchemesAndSeeds)
         // only exist when a protection scheme instantiates them.
         EXPECT_TRUE(sawL2) << "seed " << seed;
         if (scheme == SchemeKind::kEccCache ||
-            scheme == SchemeKind::kCacheCraft)
+            scheme == SchemeKind::kCacheCraft) {
             EXPECT_TRUE(sawMrc) << "seed " << seed;
+        }
     }
     // ≥3 distinct associativities per cache over many caches.
     EXPECT_GT(checksRun, 100u);

@@ -16,16 +16,6 @@
 namespace cachecraft::telemetry {
 namespace {
 
-FlightRecord
-makeRecord(RecordKind kind, std::uint64_t id, Cycle at)
-{
-    FlightRecord r;
-    r.kind = static_cast<std::uint8_t>(kind);
-    r.id = id;
-    r.at = at;
-    return r;
-}
-
 TEST(FlightRecorder, StartsEmpty)
 {
     FlightRecorder fr(16);

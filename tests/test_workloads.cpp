@@ -101,7 +101,9 @@ TEST_P(WorkloadContract, LanesBoundedByWarpWidth)
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, WorkloadContract,
     ::testing::ValuesIn(allWorkloads()),
-    [](const auto &info) { return std::string(toString(info.param)); });
+    [](const auto &param_info) {
+        return std::string(toString(param_info.param));
+    });
 
 /** Average sectors per memory instruction. */
 double
