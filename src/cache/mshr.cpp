@@ -8,6 +8,7 @@ MshrFile::MshrFile(std::string name, std::size_t capacity,
                    StatRegistry *stats)
     : name_(std::move(name)), capacity_(capacity)
 {
+    entries_.reserve(capacity_);
     if (stats) {
         stats->registerCounter(name_ + ".allocations", &statAllocations);
         stats->registerCounter(name_ + ".merges", &statMerges);
@@ -17,26 +18,31 @@ MshrFile::MshrFile(std::string name, std::size_t capacity,
 
 MshrFile::AllocOutcome
 MshrFile::allocate(Addr line_addr, std::uint8_t sector_mask,
-                   std::uint64_t requester)
+                   SmallFn &&waiter)
 {
-    auto it = entries_.find(line_addr);
-    if (it != entries_.end()) {
-        Entry &entry = it->second;
-        entry.requesters.push_back(requester);
+    Entry *entry = nullptr;
+    bool fresh = false;
+    if (entries_.size() < capacity_) {
+        auto [slot, inserted] = entries_.tryEmplace(line_addr);
+        entry = &slot;
+        fresh = inserted;
+    } else {
+        entry = entries_.find(line_addr);
+        if (!entry) {
+            statStalls.inc();
+            return AllocOutcome::kFull;
+        }
+    }
+    if (waiter)
+        waiters_.pushBack(entry->waiters, std::move(waiter));
+    if (!fresh) {
         statMerges.inc();
-        if ((entry.sectorMask & sector_mask) == sector_mask)
+        if ((entry->sectorMask & sector_mask) == sector_mask)
             return AllocOutcome::kMergedExisting;
-        entry.sectorMask |= sector_mask;
+        entry->sectorMask |= sector_mask;
         return AllocOutcome::kMergedNewSector;
     }
-    if (entries_.size() >= capacity_) {
-        statStalls.inc();
-        return AllocOutcome::kFull;
-    }
-    Entry entry;
-    entry.sectorMask = sector_mask;
-    entry.requesters.push_back(requester);
-    entries_.emplace(line_addr, std::move(entry));
+    entry->sectorMask = sector_mask;
     statAllocations.inc();
     CACHECRAFT_VERIFY_HOOK(
         onMshrAllocated(name_.c_str(), entries_.size(), capacity_));
@@ -46,27 +52,23 @@ MshrFile::allocate(Addr line_addr, std::uint8_t sector_mask,
 bool
 MshrFile::contains(Addr line_addr) const
 {
-    return entries_.find(line_addr) != entries_.end();
+    return entries_.find(line_addr) != nullptr;
 }
 
 std::uint8_t
 MshrFile::requestedSectors(Addr line_addr) const
 {
-    auto it = entries_.find(line_addr);
-    return it == entries_.end() ? 0 : it->second.sectorMask;
+    const Entry *entry = entries_.find(line_addr);
+    return entry ? entry->sectorMask : 0;
 }
 
-std::vector<std::uint64_t>
+MshrFile::Waiters
 MshrFile::release(Addr line_addr)
 {
-    auto it = entries_.find(line_addr);
-    CACHECRAFT_VERIFY_HOOK(onMshrRelease(name_.c_str(), line_addr,
-                                         it != entries_.end()));
-    if (it == entries_.end())
-        return {};
-    std::vector<std::uint64_t> waiters = std::move(it->second.requesters);
-    entries_.erase(it);
-    return waiters;
+    std::optional<Entry> entry = entries_.extract(line_addr);
+    CACHECRAFT_VERIFY_HOOK(
+        onMshrRelease(name_.c_str(), line_addr, entry.has_value()));
+    return entry ? entry->waiters : Waiters{};
 }
 
 } // namespace cachecraft

@@ -13,9 +13,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
+#include "common/addr_table.hpp"
+#include "common/fn_list.hpp"
+#include "common/inplace_function.hpp"
 #include "common/types.hpp"
 #include "stats/stats.hpp"
 
@@ -23,15 +24,15 @@ namespace cachecraft {
 
 /**
  * An MSHR file keyed by line address. Each entry remembers which
- * sectors have been requested and a list of opaque requester ids to
- * notify on fill.
+ * sectors have been requested and owns the FIFO of wake continuations
+ * of every miss merged into it.
  *
- * Entries deliberately hold ids, never callbacks: the wake
- * continuations for merged misses live with the owner (the L2 slice
- * keeps per-line `SmallFn` waiter lists, parked through its
- * `EngineArenas`; see DESIGN.md §8.4). Keeping the MSHR
- * callback-free means a merge costs one integer push and no
- * type-erased storage, and this file stays pure bookkeeping.
+ * Entries live in a flat AddrTable and their waiters in a per-file
+ * FnListSlab, so allocating, merging and releasing is a short probe
+ * plus a node push or pop — no hashing into node-based maps and no
+ * per-entry heap allocation. release() detaches the waiter list and
+ * the owner runs it with wake(), after updating its own state (the
+ * cache fill) and before re-admitting blocked requests.
  */
 class MshrFile
 {
@@ -57,11 +58,16 @@ class MshrFile
         kFull,
     };
 
+    /** A detached waiter list (see release()). */
+    using Waiters = FnListSlab<SmallFn>::List;
+
     /**
-     * Request (line_addr, sector_mask) on behalf of @p requester.
+     * Request (line_addr, sector_mask) and queue @p waiter (skipped
+     * when null) to run on release. @p waiter is moved from unless the
+     * outcome is kFull, in which case the caller keeps it to park.
      */
     AllocOutcome allocate(Addr line_addr, std::uint8_t sector_mask,
-                          std::uint64_t requester);
+                          SmallFn &&waiter);
 
     /** True if @p line_addr has an outstanding entry. */
     bool contains(Addr line_addr) const;
@@ -70,10 +76,15 @@ class MshrFile
     std::uint8_t requestedSectors(Addr line_addr) const;
 
     /**
-     * Retire the entry for @p line_addr (fill arrived); returns the
-     * requester ids that were waiting.
+     * Retire the entry for @p line_addr (fill arrived) and detach its
+     * waiters, in arrival order; an unknown line yields an empty list.
+     * Pass the result to wake().
      */
-    std::vector<std::uint64_t> release(Addr line_addr);
+    Waiters release(Addr line_addr);
+
+    /** Run released @p waiters in arrival order. A waiter may allocate
+     *  again, even for the same line: that opens a fresh entry. */
+    void wake(Waiters waiters) { waiters_.drain(waiters); }
 
     std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }
@@ -87,12 +98,13 @@ class MshrFile
     struct Entry
     {
         std::uint8_t sectorMask = 0;
-        std::vector<std::uint64_t> requesters;
+        Waiters waiters;
     };
 
     std::string name_;
     std::size_t capacity_;
-    std::unordered_map<Addr, Entry> entries_;
+    AddrTable<Entry> entries_;
+    FnListSlab<SmallFn> waiters_;
 };
 
 } // namespace cachecraft

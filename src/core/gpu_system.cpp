@@ -407,6 +407,7 @@ GpuSystem::run(const KernelTrace &trace)
         serialized ? &*serialized : raw_listener);
 
     std::vector<std::uint32_t> runnable;
+    std::vector<Cycle> next_at(numDomains_, kNever);
     std::vector<std::uint8_t> ok(numDomains_, 1);
     Cycle limit = 0;
     ShardPool::TaskFn epoch_task = [this, &runnable, &ok,
@@ -428,9 +429,13 @@ GpuSystem::run(const KernelTrace &trace)
     auto drain = [&](const char *what) {
         CC_HOST_ZONE_COUNTED("engine.drain");
         while (true) {
+            // One poll per domain per epoch: nothing runs between here
+            // and the runnable pass below, which reuses these values.
             Cycle earliest = kNever;
-            for (const auto &q : queues_)
-                earliest = std::min(earliest, q->nextAt());
+            for (std::uint32_t d = 0; d < numDomains_; ++d) {
+                next_at[d] = queues_[d]->nextAt();
+                earliest = std::min(earliest, next_at[d]);
+            }
             if (earliest == kNever) {
                 if (!anyStagedStores())
                     break;
@@ -463,7 +468,7 @@ GpuSystem::run(const KernelTrace &trace)
             limit = next;
             runnable.clear();
             for (std::uint32_t d = 0; d < numDomains_; ++d) {
-                if (queues_[d]->nextAt() <= limit)
+                if (next_at[d] <= limit)
                     runnable.push_back(d);
             }
             pool.run(runnable.size(), epoch_task);
@@ -545,6 +550,8 @@ GpuSystem::run(const KernelTrace &trace)
     for (auto &slice : slices_)
         slice->flushAll();
     drain("event budget exceeded during flush");
+    for (const auto &sm : sms_)
+        sm->verifyDrained();
     for (const auto &slice : slices_)
         slice->verifyDrained();
     close_sampler(globalNow());

@@ -33,12 +33,10 @@ void
 DramChannel::enqueue(DramRequest request)
 {
     CC_HOST_ZONE("dram.enqueue");
-    Pending pending;
-    pending.coord = map_.coordOf(id_, request.phys);
-    pending.req = std::move(request);
-    pending.arrival = events_.now();
-    pending.seq = seq_++;
-    queue_.push_back(std::move(pending));
+    const DramCoord coord = map_.coordOf(id_, request.phys);
+    const std::uint32_t slot = pending_.acquire(
+        Pending{std::move(request), coord, events_.now()});
+    queue_.push_back(QueueKey{coord.row, coord.bank, slot});
     if (!issueScheduled_) {
         issueScheduled_ = true;
         events_.scheduleAfter(0, [this] { tryIssue(); });
@@ -66,9 +64,9 @@ DramChannel::pickNext() const
     const std::size_t window = std::min<std::size_t>(queue_.size(),
                                                      kSchedulerWindow);
     for (std::size_t i = 0; i < window; ++i) {
-        const Pending &p = queue_[i];
-        const BankState &bank = banks_[p.coord.bank];
-        if (bank.open && bank.openRow == p.coord.row)
+        const QueueKey &key = queue_[i];
+        const BankState &bank = banks_[key.bank];
+        if (bank.open && bank.openRow == key.row)
             return i;
     }
     return 0;
@@ -91,8 +89,11 @@ DramChannel::tryIssue()
     }
 
     const std::size_t idx = pickNext();
-    Pending pending = std::move(queue_[idx]);
+    const std::uint32_t slot = queue_[idx].slot;
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+    // Served in place: arena slots never move, and this one is released
+    // only after its completion has been scheduled.
+    Pending &pending = pending_[slot];
 
     BankState &bank = banks_[pending.coord.bank];
     const Cycle bank_ready = std::max(now, bank.readyAt);
@@ -207,6 +208,7 @@ DramChannel::tryIssue()
         }
         events_.schedule(complete_at, std::move(pending.req.onComplete));
     }
+    pending_.release(slot);
 
     if (!queue_.empty()) {
         issueScheduled_ = true;

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/types.hpp"
 #include "dram/address_map.hpp"
 #include "dram/storage.hpp"
@@ -124,13 +125,23 @@ class DramChannel
         Cycle readyAt = 0;
     };
 
+    /** A queued request, parked in the pending_ arena. */
     struct Pending
     {
         DramRequest req;
         DramCoord coord;
         Cycle arrival = 0;
-        std::uint64_t seq = 0;
     };
+
+    /** Arrival-order entry: what the scheduler scans, plus the arena
+     *  slot of the full request. */
+    struct QueueKey
+    {
+        std::uint64_t row;
+        std::uint32_t bank;
+        std::uint32_t slot;
+    };
+    static_assert(sizeof(QueueKey) == 16);
 
     /** Try to issue the best request now; reschedule as needed. */
     void tryIssue();
@@ -145,10 +156,10 @@ class DramChannel
     EventQueue &events_;
     telemetry::Telemetry *telemetry_;
 
-    std::deque<Pending> queue_;
+    SlabArena<Pending> pending_;
+    std::deque<QueueKey> queue_; //!< arrival order
     std::vector<BankState> banks_;
     Cycle busFreeAt_ = 0;
-    std::uint64_t seq_ = 0;
     bool issueScheduled_ = false;
 };
 

@@ -8,13 +8,12 @@ namespace cachecraft {
 SparseMemory::Page &
 SparseMemory::pageForWrite(Addr page_base)
 {
-    auto it = pages_.find(page_base);
-    if (it == pages_.end()) {
-        Page page;
-        page.fill(fill_);
-        it = pages_.emplace(page_base, page).first;
+    auto [page, inserted] = pages_.tryEmplace(page_base);
+    if (inserted) {
+        page = std::make_unique<Page>();
+        page->fill(fill_);
     }
-    return it->second;
+    return *page;
 }
 
 void
@@ -27,11 +26,10 @@ SparseMemory::read(Addr addr, std::span<std::uint8_t> out) const
         const std::size_t off = offsetIn(cur, kPageBytes);
         const std::size_t run =
             std::min(out.size() - done, kPageBytes - off);
-        auto it = pages_.find(page_base);
-        if (it == pages_.end())
-            std::memset(out.data() + done, fill_, run);
+        if (const auto *page = pages_.find(page_base))
+            std::memcpy(out.data() + done, (*page)->data() + off, run);
         else
-            std::memcpy(out.data() + done, it->second.data() + off, run);
+            std::memset(out.data() + done, fill_, run);
         done += run;
     }
 }

@@ -13,9 +13,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
 
+#include "common/addr_table.hpp"
 #include "common/types.hpp"
 
 namespace cachecraft {
@@ -53,7 +54,9 @@ class SparseMemory
     Page &pageForWrite(Addr page_base);
 
     std::uint8_t fill_;
-    std::unordered_map<Addr, Page> pages_;
+    /** Page base -> page; pages are heap-held so the flat index stays
+     *  small and rehashing never copies page bytes. */
+    AddrTable<std::unique_ptr<Page>> pages_;
 };
 
 } // namespace cachecraft

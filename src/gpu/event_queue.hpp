@@ -9,20 +9,17 @@
  * Implementation: a bucketed timing wheel. Cycles within the near
  * horizon (now .. now + kWheelSlots) land in per-cycle FIFO buckets —
  * appending to a bucket is both O(1) and exactly insertion order, so
- * near events need no explicit sequence number. A bucket is a
- * {head, tail} pair of node indices into an intrusive singly linked
- * list; the nodes (a callback plus a next index) live in a per-queue
- * slab of fixed 1024-node chunks with a LIFO free list threaded
- * through the same next links (not a SlabArena: this path wants no
- * per-access liveness check and no side arrays). Chunks never
- * move, so an event runs in place in its node, which is then freed —
- * re-entrant scheduling at now() appends behind it in the same drain,
- * even when that grows the slab. Events beyond the horizon go to a
- * small overflow heap keyed on (cycle, seq) and migrate into their
- * bucket as the clock approaches; migration runs on every clock
- * advance, i.e. before any event at the new horizon edge could be
- * scheduled directly, so bucket order always equals global schedule
- * order. Callbacks are fixed-capacity SmallFn values, so steady-state
+ * near events need no explicit sequence number. A bucket is a FIFO
+ * list in the queue's FnListSlab (common/fn_list.hpp; not a
+ * SlabArena: this path wants no per-access liveness check and no side
+ * arrays). Slab nodes never move, so an event runs in place in its
+ * node, which is then freed — re-entrant scheduling at now() appends
+ * behind it in the same drain, even when that grows the slab. Events
+ * beyond the horizon go to a small overflow heap keyed on (cycle, seq)
+ * and migrate into their bucket as the clock approaches; migration
+ * runs on every clock advance, i.e. before any event at the new
+ * horizon edge could be scheduled directly, so bucket order always
+ * equals global schedule order. Callbacks are fixed-capacity SmallFn values, so steady-state
  * scheduling performs no heap allocation at all.
  *
  * The next pending cycle is found in O(1): an occupancy bitmap has one
@@ -33,8 +30,10 @@
  *
  * Sharded runs add a second ingress: postMessage() delivers a
  * cross-domain message (a crossbar hop from another shard domain)
- * into a small inbox heap keyed by the canonical
- * (delivery cycle, send cycle, source domain, source seq) tuple.
+ * into a small inbox heap of canonical
+ * (delivery cycle, send cycle, source domain, source seq) keys; each
+ * key names a slab node holding the message's callback, so heap moves
+ * shuffle 32-byte keys, never callbacks.
  * Messages for cycle D execute *before* D's wheel bucket, in key
  * order — a total order independent of which thread staged what when,
  * so execution is bit-identical at any --shards value. Only the epoch
@@ -50,9 +49,9 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
+#include "common/fn_list.hpp"
 #include "common/inplace_function.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
@@ -108,7 +107,8 @@ class EventQueue
         if (when <= now_)
             panic("cross-domain message posted at or before the "
                   "receiver's clock");
-        inbox_.push_back(InboxMsg{when, sent, src, seq, std::move(fn)});
+        inbox_.push_back(
+            InboxKey{when, sent, src, seq, slab_.acquire(std::move(fn))});
         std::push_heap(inbox_.begin(), inbox_.end(), InboxAfter{});
         ++seq_;
         ++pending_;
@@ -161,36 +161,31 @@ class EventQueue
                 }
                 --budget;
                 std::pop_heap(inbox_.begin(), inbox_.end(), InboxAfter{});
-                EventFn fn = std::move(inbox_.back().fn);
+                const std::uint32_t node = inbox_.back().node;
                 inbox_.pop_back();
                 ++executed_;
                 --pending_;
-                fn();
+                slab_.fnOf(node)();
+                slab_.release(node);
             }
             // Unlink each event before running it in place, so
             // re-entrant scheduling at now() appends behind it in this
             // same drain and a valve trip leaves the rest linked.
             const std::size_t slot = now_ & kWheelMask;
             Bucket &bucket = wheel_[slot];
-            while (bucket.head != kNil) {
+            while (!bucket.empty()) {
                 if (budget == 0) {
                     ++valveTrips_;
                     return false;
                 }
                 --budget;
-                const std::uint32_t node = bucket.head;
-                bucket.head = nextOf(node);
-                if (bucket.head == kNil) {
-                    bucket.tail = kNil;
+                const std::uint32_t node = slab_.popFront(bucket);
+                if (bucket.empty())
                     markEmpty(slot);
-                }
-                EventFn &fn = fnOf(node);
                 ++executed_;
                 --pending_;
-                fn();
-                fn = nullptr;
-                nextOf(node) = freeHead_;
-                freeHead_ = node;
+                slab_.fnOf(node)();
+                slab_.release(node);
             }
             const Cycle next = nextEventCycle();
             if (next == kNoEvent)
@@ -276,21 +271,22 @@ class EventQueue
         }
     };
 
-    /** A cross-domain message awaiting delivery (see postMessage). */
-    struct InboxMsg
+    /** A cross-domain message awaiting delivery (see postMessage);
+     *  its callback waits in slab node @p node. */
+    struct InboxKey
     {
         Cycle when;
         Cycle sent;
         std::uint32_t src;
         std::uint32_t seq;
-        EventFn fn;
+        std::uint32_t node;
     };
 
     /** Heap comparator: front is the least (when, sent, src, seq). */
     struct InboxAfter
     {
         bool
-        operator()(const InboxMsg &a, const InboxMsg &b) const
+        operator()(const InboxKey &a, const InboxKey &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -354,15 +350,7 @@ class EventQueue
     void
     append(std::size_t slot, EventFn &&fn)
     {
-        const std::uint32_t node = allocNode();
-        fnOf(node) = std::move(fn);
-        nextOf(node) = kNil;
-        Bucket &bucket = wheel_[slot];
-        if (bucket.tail == kNil)
-            bucket.head = node;
-        else
-            nextOf(bucket.tail) = node;
-        bucket.tail = node;
+        slab_.pushBack(wheel_[slot], std::move(fn));
         const std::size_t word = slot >> 6;
         occupied_[word] |= std::uint64_t{1} << (slot & 63);
         summary_ |= std::uint64_t{1} << word;
@@ -378,51 +366,8 @@ class EventQueue
             summary_ &= ~(std::uint64_t{1} << word);
     }
 
-    /** A free node: the most recently freed one, else the next unused
-     *  node of the slab, adding a chunk when the slab is full. */
-    std::uint32_t
-    allocNode()
-    {
-        if (freeHead_ != kNil) {
-            const std::uint32_t node = freeHead_;
-            freeHead_ = nextOf(node);
-            return node;
-        }
-        if (slabUsed_ == chunks_.size() * kChunkNodes)
-            chunks_.push_back(std::make_unique<Chunk>());
-        return slabUsed_++;
-    }
-
-    EventFn &
-    fnOf(std::uint32_t node)
-    {
-        return chunks_[node / kChunkNodes]->fn[node % kChunkNodes];
-    }
-
-    std::uint32_t &
-    nextOf(std::uint32_t node)
-    {
-        return chunks_[node / kChunkNodes]->next[node % kChunkNodes];
-    }
-
-    /** Null node index: end of a bucket list or of the free list. */
-    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
-    static constexpr std::uint32_t kChunkNodes = 1024;
-
-    /** One wheel slot: a FIFO list of slab nodes (kNil when empty). */
-    struct Bucket
-    {
-        std::uint32_t head = kNil;
-        std::uint32_t tail = kNil;
-    };
-
-    /** kChunkNodes slab nodes, split into callbacks (one cache line
-     *  each) and next links (live and free lists share them). */
-    struct alignas(64) Chunk
-    {
-        std::array<EventFn, kChunkNodes> fn;
-        std::array<std::uint32_t, kChunkNodes> next;
-    };
+    /** One wheel slot: a FIFO list of slab nodes. */
+    using Bucket = FnListSlab<EventFn>::List;
 
     Cycle now_ = 0;
     std::uint64_t seq_ = 0;
@@ -433,11 +378,9 @@ class EventQueue
     std::array<Bucket, kWheelSlots> wheel_;
     std::array<std::uint64_t, kBitmapWords> occupied_{};
     std::uint64_t summary_ = 0; //!< bit w: occupied_[w] != 0
-    std::vector<std::unique_ptr<Chunk>> chunks_;
-    std::uint32_t slabUsed_ = 0; //!< nodes ever handed out
-    std::uint32_t freeHead_ = kNil;
+    FnListSlab<EventFn> slab_; //!< wheel buckets + inbox callbacks
     std::vector<FarEvent> far_;
-    std::vector<InboxMsg> inbox_; //!< min-heap, see InboxAfter
+    std::vector<InboxKey> inbox_; //!< min-heap, see InboxAfter
 };
 
 } // namespace cachecraft

@@ -139,14 +139,14 @@ L2Slice::handleReadMiss(Addr sector_addr, ecc::MemTag tag, SmallFn done,
     telemetry::FlightRecorder *fr =
         telemetry_ && trace_id != 0 ? telemetry_->recorder() : nullptr;
     using Outcome = MshrFile::AllocOutcome;
-    const Outcome outcome = mshrs_.allocate(sector_addr, 1, 0);
+    const Outcome outcome =
+        mshrs_.allocate(sector_addr, 1, std::move(done));
     switch (outcome) {
       case Outcome::kMergedExisting:
       case Outcome::kMergedNewSector:
         if (fr)
             fr->record(telemetry::RecordKind::kL2MshrMerge, trace_id,
                        events_.now(), sector_addr);
-        waiting_[sector_addr].push_back(std::move(done));
         return;
       case Outcome::kFull:
         // Structural stall: park the request; it is retried when an
@@ -162,7 +162,6 @@ L2Slice::handleReadMiss(Addr sector_addr, ecc::MemTag tag, SmallFn done,
         break;
     }
 
-    waiting_[sector_addr].push_back(std::move(done));
     issueFetch(sector_addr, tag, trace_id);
     if (params_.fetchWholeLine)
         prefetchSiblings(sector_addr, tag);
@@ -179,12 +178,7 @@ L2Slice::issueFetch(Addr sector_addr, ecc::MemTag tag,
             const SectorMask bit = static_cast<SectorMask>(
                 1u << sectorInLine(sector_addr));
             handleEviction(cache_.fill(sector_addr, bit, 0));
-            mshrs_.release(sector_addr);
-            auto node = waiting_.extract(sector_addr);
-            if (!node.empty()) {
-                for (auto &waiter : node.mapped())
-                    waiter();
-            }
+            mshrs_.wake(mshrs_.release(sector_addr));
             // An MSHR just freed: admit one parked request.
             if (!blocked_.empty()) {
                 BlockedRead blocked = std::move(blocked_.front());
@@ -224,7 +218,7 @@ L2Slice::prefetchSiblings(Addr sector_addr, ecc::MemTag tag)
         // Best-effort: never let prefetch exhaust the MSHR file.
         if (mshrs_.size() + 1 >= mshrs_.capacity())
             return;
-        if (mshrs_.allocate(sibling, 1, 0) !=
+        if (mshrs_.allocate(sibling, 1, nullptr) !=
             MshrFile::AllocOutcome::kNewEntry)
             continue;
         statPrefetchFetches.inc();
@@ -283,8 +277,6 @@ L2Slice::verifyDrained() const
     // must have retired by now, so any residue is a leak.
     CACHECRAFT_VERIFY_HOOK(
         onDrainResidue((name_ + ".mshr").c_str(), mshrs_.size()));
-    CACHECRAFT_VERIFY_HOOK(
-        onDrainResidue((name_ + ".waiting").c_str(), waiting_.size()));
     CACHECRAFT_VERIFY_HOOK(
         onDrainResidue((name_ + ".blocked").c_str(), blocked_.size()));
     CACHECRAFT_VERIFY_HOOK(onDrainResidue(

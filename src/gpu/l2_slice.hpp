@@ -22,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/mshr.hpp"
@@ -90,8 +89,8 @@ class L2Slice
     /**
      * Fire the verification drain-residue hooks (no-op unless built
      * with CACHECRAFT_VERIFY). Call only once the event queue has
-     * drained after flushAll(): by then MSHRs, waiter lists, blocked
-     * reads, and scheme metadata fetches must all be empty.
+     * drained after flushAll(): by then MSHRs (with their waiters),
+     * blocked reads, and scheme metadata fetches must all be empty.
      */
     void verifyDrained() const;
 
@@ -152,9 +151,8 @@ class L2Slice
     };
 
     SectoredCache cache_;
+    /** Outstanding sector fetches and the reads waiting on them. */
     MshrFile mshrs_;
-    /** Waiters per outstanding sector (MSHR continuations). */
-    std::unordered_map<Addr, std::vector<SmallFn>> waiting_;
     /** Reads stalled on a full MSHR file; drained on release. */
     std::deque<BlockedRead> blocked_;
     Cycle nextServiceAt_ = 0;

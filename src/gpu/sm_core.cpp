@@ -3,6 +3,7 @@
 #include "common/log.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
+#include "verify/verify.hpp"
 
 namespace cachecraft {
 
@@ -179,15 +180,14 @@ SmCore::issueSector(std::size_t w, SectorRequest req, ecc::MemTag tag,
     }
 
     using Outcome = MshrFile::AllocOutcome;
-    const Outcome outcome = l1Mshrs_.allocate(req.sectorAddr, 1, 0);
+    const Outcome outcome = l1Mshrs_.allocate(
+        req.sectorAddr, 1, [this, w, id] { sectorDone(w, id); });
     switch (outcome) {
       case Outcome::kMergedExisting:
       case Outcome::kMergedNewSector:
         if (fr)
             fr->record(telemetry::RecordKind::kL1MshrMerge, id,
                        events_.now(), req.sectorAddr);
-        waiting_[req.sectorAddr].push_back(
-            [this, w, id] { sectorDone(w, id); });
         return;
       case Outcome::kFull:
         // Park until an MSHR frees (no polling).
@@ -201,8 +201,6 @@ SmCore::issueSector(std::size_t w, SectorRequest req, ecc::MemTag tag,
         break;
     }
 
-    waiting_[req.sectorAddr].push_back(
-        [this, w, id] { sectorDone(w, id); });
     l2Read_(
         req.sectorAddr, tag,
         [this, addr = req.sectorAddr] {
@@ -211,12 +209,7 @@ SmCore::issueSector(std::size_t w, SectorRequest req, ecc::MemTag tag,
             const SectorMask bit =
                 static_cast<SectorMask>(1u << sectorInLine(addr));
             l1_.fill(addr, bit, 0);
-            l1Mshrs_.release(addr);
-            auto node = waiting_.extract(addr);
-            if (!node.empty()) {
-                for (auto &waiter : node.mapped())
-                    waiter();
-            }
+            l1Mshrs_.wake(l1Mshrs_.release(addr));
             // Re-admit parked sectors while MSHR slots remain.
             // Admitting just one would lose a wakeup: if it hits in
             // the L1 (its line arrived with this fill), it consumes
@@ -239,6 +232,18 @@ SmCore::issueSector(std::size_t w, SectorRequest req, ecc::MemTag tag,
             }
         },
         id);
+}
+
+void
+SmCore::verifyDrained() const
+{
+    // Called after the post-flush event drain, like
+    // L2Slice::verifyDrained: an L1 MSHR entry (with its waiters) or a
+    // parked sector still here has lost its wakeup.
+    CACHECRAFT_VERIFY_HOOK(
+        onDrainResidue((name_ + ".l1mshr").c_str(), l1Mshrs_.size()));
+    CACHECRAFT_VERIFY_HOOK(
+        onDrainResidue((name_ + ".blocked").c_str(), blocked_.size()));
 }
 
 void

@@ -26,7 +26,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/mshr.hpp"
@@ -97,6 +96,13 @@ class SmCore
     /** True when every resident warp has retired its last inst. */
     bool done() const { return warpsDone_ == warps_.size(); }
 
+    /**
+     * Fire the verification drain-residue hooks (no-op unless built
+     * with CACHECRAFT_VERIFY) for the L1 MSHR file and the sectors
+     * parked on it. Call only once the event queue has drained.
+     */
+    void verifyDrained() const;
+
     Counter statInsts;
     Counter statMemInsts;
     Counter statStoreInsts;
@@ -154,9 +160,8 @@ class SmCore
     };
 
     SectoredCache l1_;
+    /** Outstanding L1 sector misses and their waiting sectors. */
     MshrFile l1Mshrs_;
-    /** Waiters per outstanding L1 sector miss (MSHR continuations). */
-    std::unordered_map<Addr, std::vector<SmallFn>> waiting_;
     /** Sector requests stalled on a full L1 MSHR file. */
     std::deque<BlockedSector> blocked_;
 

@@ -1,6 +1,7 @@
 #include "protect/mrc_scheme.hpp"
 
 #include <memory>
+#include <vector>
 
 #include "common/log.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -166,16 +167,13 @@ MrcScheme::fetchChunk(Addr logical, WakeFn fn, std::uint64_t trace_id)
 {
     CC_HOST_ZONE("protect.fetch_chunk");
     const Addr line = alignDown(mrcAddr(logical), kEccChunkBytes);
-    auto it = pendingFetch_.find(line);
-    if (it != pendingFetch_.end()) {
+    auto [waiters, inserted] = pendingFetch_.tryEmplace(line);
+    fetchWaiters_.pushBack(waiters, std::move(fn));
+    if (!inserted) {
         // A fetch of this chunk is already in flight; piggyback.
         stats.mrcFetchMerges.inc();
-        it->second.push_back(std::move(fn));
         return;
     }
-    std::vector<WakeFn> waiters;
-    waiters.push_back(std::move(fn));
-    pendingFetch_.emplace(line, std::move(waiters));
 
     issueEccTxn(
         logical, /* is_write= */ false,
@@ -198,11 +196,8 @@ MrcScheme::fetchChunk(Addr logical, WakeFn fn, std::uint64_t trace_id)
                           1u << sectorInChunk(logical));
             handleEviction(mrc_.fill(mrcAddr(logical), mask, 0));
 
-            auto node = pendingFetch_.extract(line);
-            if (node.empty())
-                return;
-            for (auto &waiter : node.mapped())
-                waiter(false);
+            if (auto merged = pendingFetch_.extract(line))
+                fetchWaiters_.drain(*merged, false);
         },
         trace_id);
 }

@@ -30,10 +30,9 @@
 #ifndef CACHECRAFT_PROTECT_MRC_SCHEME_HPP
 #define CACHECRAFT_PROTECT_MRC_SCHEME_HPP
 
-#include <unordered_map>
-#include <vector>
-
 #include "cache/sectored_cache.hpp"
+#include "common/addr_table.hpp"
+#include "common/fn_list.hpp"
 #include "protect/scheme.hpp"
 
 namespace cachecraft {
@@ -114,7 +113,8 @@ class MrcScheme : public ProtectionScheme
     bool cachecraft_;
     SectoredCache mrc_;
     /** In-flight metadata fetches: MRC line addr -> waiters. */
-    std::unordered_map<Addr, std::vector<WakeFn>> pendingFetch_;
+    AddrTable<FnListSlab<WakeFn>::List> pendingFetch_;
+    FnListSlab<WakeFn> fetchWaiters_;
 };
 
 } // namespace cachecraft

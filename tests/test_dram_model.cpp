@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "dram/dram_model.hpp"
 
 namespace cachecraft {
@@ -218,6 +222,238 @@ TEST(DramModel, BusSerializesBackToBackHits)
     h.events.run();
     EXPECT_GE(done_b > done_a ? done_b - done_a : done_a - done_b,
               h.timing.tBurst);
+}
+
+// --------------------------------------------------------------------
+// Scheduler differential: DramChannel against a reference copy of the
+// original queue (a deque of whole requests, FR-FCFS over its first
+// 32 entries). Both see identical arrival streams on their own event
+// queues; every request must complete on the same cycle.
+// --------------------------------------------------------------------
+
+/** The original channel scheduler and timing, kept as the oracle. */
+class RefChannel
+{
+  public:
+    RefChannel(const AddressMap &map, const DramTiming &timing,
+               EventQueue &events, std::vector<Cycle> &done)
+        : map_(map), timing_(timing), events_(events), done_(done),
+          banks_(map.geometry().numBanks)
+    {
+    }
+
+    void
+    enqueue(Addr phys, bool is_write, std::size_t id)
+    {
+        queue_.push_back(
+            Pending{map_.coordOf(0, phys), is_write, id});
+        if (!issueScheduled_) {
+            issueScheduled_ = true;
+            events_.scheduleAfter(0, [this] { tryIssue(); });
+        }
+    }
+
+  private:
+    struct Pending
+    {
+        DramCoord coord;
+        bool isWrite;
+        std::size_t id;
+    };
+    struct Bank
+    {
+        bool open = false;
+        std::uint64_t openRow = 0;
+        Cycle readyAt = 0;
+    };
+
+    std::size_t
+    pickNext() const
+    {
+        const std::size_t window =
+            std::min<std::size_t>(queue_.size(), 32);
+        for (std::size_t i = 0; i < window; ++i) {
+            const Bank &bank = banks_[queue_[i].coord.bank];
+            if (bank.open && bank.openRow == queue_[i].coord.row)
+                return i;
+        }
+        return 0;
+    }
+
+    void
+    tryIssue()
+    {
+        issueScheduled_ = false;
+        if (queue_.empty())
+            return;
+        const Cycle now = events_.now();
+        if (busFreeAt_ > now) {
+            issueScheduled_ = true;
+            events_.schedule(busFreeAt_, [this] { tryIssue(); });
+            return;
+        }
+        const std::size_t idx = pickNext();
+        const Pending p = queue_[idx];
+        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+        Bank &bank = banks_[p.coord.bank];
+        const Cycle bank_ready = std::max(now, bank.readyAt);
+        Cycle cas_at;
+        if (bank.open && bank.openRow == p.coord.row)
+            cas_at = bank_ready;
+        else if (!bank.open)
+            cas_at = bank_ready + timing_.tRcd;
+        else
+            cas_at = bank_ready + timing_.tRp + timing_.tRcd;
+        bank.open = true;
+        bank.openRow = p.coord.row;
+        const Cycle data_at = cas_at + timing_.tCas;
+        const Cycle done_at = data_at + timing_.tBurst;
+        bank.readyAt = done_at + (p.isWrite ? timing_.tWr : 0);
+        busFreeAt_ = data_at + timing_.tBurst;
+        done_[p.id] = done_at + timing_.tController;
+        if (!queue_.empty()) {
+            issueScheduled_ = true;
+            events_.schedule(busFreeAt_, [this] { tryIssue(); });
+        }
+    }
+
+    const AddressMap &map_;
+    DramTiming timing_;
+    EventQueue &events_;
+    std::vector<Cycle> &done_;
+    std::deque<Pending> queue_;
+    std::vector<Bank> banks_;
+    Cycle busFreeAt_ = 0;
+    bool issueScheduled_ = false;
+};
+
+struct SchedReq
+{
+    Cycle arrival;
+    Addr phys;
+    bool isWrite;
+};
+
+struct SchedOutcome
+{
+    std::vector<Cycle> done;
+    std::size_t peakDepth = 0;
+};
+
+/** Channel-local address of (bank, row, 32 B column) in the harness
+ *  geometry. */
+Addr
+physOf(const DramGeometry &g, std::uint64_t bank, std::uint64_t row,
+       std::uint64_t col)
+{
+    return (row * g.numBanks + bank) * g.rowBytes + col * 32;
+}
+
+/** Run @p reqs through one DramChannel, and through the reference when
+ *  @p reference is set; returns each request's completion cycle. */
+SchedOutcome
+runStream(const std::vector<SchedReq> &reqs, bool reference)
+{
+    const DramGeometry geom = DramHarness::makeGeom();
+    const AddressMap map(geom, EccLayout::kNone);
+    const DramTiming timing;
+    EventQueue events;
+    SchedOutcome out;
+    out.done.assign(reqs.size(), 0);
+    DramChannel channel("ch", 0, map, timing, events, nullptr);
+    RefChannel ref(map, timing, events, out.done);
+    auto arrive = [&](std::size_t i) {
+        if (reference) {
+            ref.enqueue(reqs[i].phys, reqs[i].isWrite, i);
+            return;
+        }
+        DramRequest req;
+        req.phys = reqs[i].phys;
+        req.isWrite = reqs[i].isWrite;
+        req.onComplete = [&out, &events, i] {
+            out.done[i] = events.now();
+        };
+        channel.enqueue(std::move(req));
+        out.peakDepth = std::max(out.peakDepth, channel.queueDepth());
+    };
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        events.schedule(reqs[i].arrival, [&arrive, i] { arrive(i); });
+    EXPECT_TRUE(events.run());
+    return out;
+}
+
+TEST(DramScheduler, MatchesReferenceQueueOnRandomStreams)
+{
+    const DramGeometry geom = DramHarness::makeGeom();
+    std::size_t deepest = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        Xoshiro256 rng(seed);
+        // Bursty seeds pile >1000 requests into the queue; sparse ones
+        // let it drain and exercise the idle-channel path.
+        const bool burst = seed % 4 != 0;
+        const std::size_t n = burst ? 1200 : 400;
+        const Cycle spread = burst ? 200 : 20000;
+        const std::uint64_t rows = 1 + rng.below(6);
+        std::vector<SchedReq> reqs;
+        for (std::size_t i = 0; i < n; ++i) {
+            reqs.push_back(SchedReq{
+                rng.below(spread),
+                physOf(geom, rng.below(geom.numBanks), rng.below(rows),
+                       rng.below(geom.rowBytes / 32)),
+                rng.chance(0.3)});
+        }
+        const SchedOutcome got = runStream(reqs, false);
+        const SchedOutcome want = runStream(reqs, true);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(got.done[i], want.done[i])
+                << "seed " << seed << " request " << i;
+            ASSERT_GT(got.done[i], reqs[i].arrival);
+        }
+        deepest = std::max(deepest, got.peakDepth);
+    }
+    EXPECT_GT(deepest, 1000u);
+}
+
+/**
+ * One request opens row 0 of bank 0; then @p fillers closed-bank
+ * requests (bank 1, a distinct row each, so none is ever a row hit)
+ * and finally a row-0 hit arrive together. Once the opener issues, the
+ * hit sits at window index @p fillers.
+ */
+std::vector<SchedReq>
+windowEdgeStream(std::size_t fillers)
+{
+    const DramGeometry geom = DramHarness::makeGeom();
+    std::vector<SchedReq> reqs;
+    reqs.push_back(SchedReq{0, physOf(geom, 0, 0, 0), false});
+    for (std::size_t i = 0; i < fillers; ++i)
+        reqs.push_back(SchedReq{0, physOf(geom, 1, 1 + i, 0), false});
+    reqs.push_back(SchedReq{0, physOf(geom, 0, 0, 1), false});
+    return reqs;
+}
+
+TEST(DramScheduler, RowHitAtWindowIndex31IsPicked)
+{
+    const std::vector<SchedReq> reqs = windowEdgeStream(31);
+    const SchedOutcome got = runStream(reqs, false);
+    EXPECT_EQ(got.done, runStream(reqs, true).done);
+    // The hit (last) overtakes every filler.
+    const Cycle hit = got.done.back();
+    for (std::size_t i = 1; i + 1 < reqs.size(); ++i)
+        EXPECT_LT(hit, got.done[i]) << "filler " << i;
+}
+
+TEST(DramScheduler, RowHitAtWindowIndex32IsNotPicked)
+{
+    const std::vector<SchedReq> reqs = windowEdgeStream(32);
+    const SchedOutcome got = runStream(reqs, false);
+    EXPECT_EQ(got.done, runStream(reqs, true).done);
+    // Outside the window the oldest request goes first; the hit only
+    // wins once the window has slid over it.
+    const Cycle hit = got.done.back();
+    EXPECT_LT(got.done[1], hit);
+    for (std::size_t i = 2; i + 1 < reqs.size(); ++i)
+        EXPECT_LT(hit, got.done[i]) << "filler " << i;
 }
 
 } // namespace

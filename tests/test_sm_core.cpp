@@ -9,6 +9,7 @@
 #include <map>
 
 #include "gpu/sm_core.hpp"
+#include "verify/invariants.hpp"
 
 namespace cachecraft {
 namespace {
@@ -22,6 +23,8 @@ struct SmHarness
     std::uint64_t l2Reads = 0;
     std::uint64_t l2Writes = 0;
     Cycle l2Latency = 100;
+    /** A sector whose L2 read never answers (planted lost wakeup). */
+    Addr dropRead = ~Addr{0};
 
     explicit SmHarness(std::size_t l1_bytes = 8 * 1024,
                        std::size_t mshrs = 8)
@@ -33,9 +36,10 @@ struct SmHarness
         params.l1HitLatency = 5;
         sm = std::make_unique<SmCore>(
             "sm0", 0, params, events,
-            [this](Addr, ecc::MemTag, SmallFn done, std::uint64_t) {
+            [this](Addr addr, ecc::MemTag, SmallFn done, std::uint64_t) {
                 ++l2Reads;
-                events.scheduleAfter(l2Latency, std::move(done));
+                if (addr != dropRead)
+                    events.scheduleAfter(l2Latency, std::move(done));
             },
             [this](Addr, ecc::MemTag) { ++l2Writes; },
             [](Addr) { return ecc::MemTag{0}; }, &stats);
@@ -274,6 +278,51 @@ TEST(SmCore, MemLatencyHistogramPopulated)
     h.run();
     EXPECT_EQ(h.sm->statMemLatency.count(), 1u);
     EXPECT_GE(h.sm->statMemLatency.maxValue(), h.l2Latency);
+}
+
+TEST(SmCore, VerifyDrainedReportsL1Residue)
+{
+#if !defined(CACHECRAFT_VERIFY_ENABLED)
+    GTEST_SKIP() << "verification hooks compiled out";
+#else
+    // One L1 MSHR, a fully divergent load, and a planted leak: the
+    // first sector's L2 read never answers, so its MSHR entry stays
+    // and the other 31 sectors stay parked behind it.
+    WarpInst divergent;
+    divergent.isMem = true;
+    for (std::size_t i = 0; i < kWarpLanes; ++i)
+        divergent.lanes.push_back(i * 4096);
+    std::vector<WarpInst> program{divergent};
+
+    SmHarness leaky(8 * 1024, /* mshrs= */ 1);
+    leaky.dropRead = 0;
+    leaky.sm->addWarp(&program);
+    leaky.sm->start();
+    ASSERT_TRUE(leaky.events.run());
+    EXPECT_FALSE(leaky.sm->done());
+    verify::InvariantChecker caught;
+    {
+        verify::ScopedListener scope(&caught);
+        leaky.sm->verifyDrained();
+    }
+    ASSERT_EQ(caught.violationCount(), 2u);
+    EXPECT_NE(caught.violations()[0].find("sm0.l1mshr: 1 entries"),
+              std::string::npos);
+    EXPECT_NE(caught.violations()[1].find("sm0.blocked: 31 entries"),
+              std::string::npos);
+
+    // The same program without the leak drains clean.
+    SmHarness clean(8 * 1024, /* mshrs= */ 1);
+    clean.sm->addWarp(&program);
+    clean.run();
+    verify::InvariantChecker quiet;
+    {
+        verify::ScopedListener scope(&quiet);
+        clean.sm->verifyDrained();
+    }
+    EXPECT_TRUE(quiet.ok());
+    EXPECT_EQ(quiet.eventsChecked(), 2u);
+#endif
 }
 
 } // namespace
