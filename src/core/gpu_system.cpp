@@ -556,12 +556,6 @@ GpuSystem::run(const KernelTrace &trace)
         slice->verifyDrained();
     close_sampler(globalNow());
 
-    if (const telemetry::TraceSink *sink = telemetry_->sink();
-        sink && sink->dropped() > 0) {
-        rs.warnings.push_back(
-            strCat("trace ring overflowed: ", sink->dropped(),
-                   " oldest events dropped (raise traceCapacity)"));
-    }
     if (const telemetry::FlightRecorder *fr = telemetry_->recorder();
         fr && fr->dropped() > 0) {
         rs.warnings.push_back(

@@ -19,10 +19,6 @@
 
 namespace cachecraft {
 
-namespace telemetry {
-class Telemetry;
-} // namespace telemetry
-
 /** One coalesced sector request. */
 struct SectorRequest
 {
@@ -35,15 +31,6 @@ struct SectorRequest
  * requests, in first-appearance order (deterministic).
  */
 std::vector<SectorRequest> coalesce(const WarpInst &inst);
-
-/**
- * Traced variant: additionally records a "coalesce" instant (sector
- * count as its argument) on lifecycle track @p trace_id. Behaves as
- * the plain overload when @p telemetry is null or @p trace_id is 0.
- */
-std::vector<SectorRequest> coalesce(const WarpInst &inst,
-                                    telemetry::Telemetry *telemetry,
-                                    std::uint64_t trace_id, Cycle now);
 
 } // namespace cachecraft
 

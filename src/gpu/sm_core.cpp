@@ -111,12 +111,11 @@ SmCore::startMemory(std::size_t w)
     WarpState &warp = warps_[w];
     const WarpInst &inst = (*warp.insts)[warp.pc];
     const bool active = telemetry_ && telemetry_->active();
-    warp.traceId = active ? telemetry_->newId() : 0;
-    const auto sectors =
-        coalesce(inst, telemetry_, warp.traceId, events_.now());
+    const std::uint64_t inst_id = active ? telemetry_->newId() : 0;
+    const auto sectors = coalesce(inst);
     if (telemetry_ && !sectors.empty()) {
         if (auto *fr = telemetry_->recorder())
-            fr->record(telemetry::RecordKind::kCoalesce, warp.traceId,
+            fr->record(telemetry::RecordKind::kCoalesce, inst_id,
                        events_.now(), sectors.front().sectorAddr,
                        static_cast<std::uint32_t>(sectors.size()));
     }
@@ -141,7 +140,7 @@ SmCore::startMemory(std::size_t w)
             if (auto *fr = telemetry_->recorder())
                 fr->record(telemetry::RecordKind::kRequestStart, sid,
                            events_.now(), req.sectorAddr,
-                           static_cast<std::uint32_t>(warp.traceId),
+                           static_cast<std::uint32_t>(inst_id),
                            0,
                            req.isWrite ? telemetry::kFlagWrite : 0);
         }
@@ -258,9 +257,6 @@ SmCore::sectorDone(std::size_t w, std::uint64_t id)
     if (--warp.pendingSectors > 0)
         return;
     statMemLatency.sample(events_.now() - warp.memIssuedAt);
-    if (telemetry_ && warp.traceId != 0)
-        telemetry_->span(telemetry::Stage::kMemInst, warp.traceId,
-                         warp.memIssuedAt, events_.now());
     retire(w, /* was_memory= */ true);
 }
 

@@ -118,8 +118,6 @@ class SmCore
         /** Outstanding sectors of the in-flight memory instruction. */
         unsigned pendingSectors = 0;
         Cycle memIssuedAt = 0;
-        /** Lifecycle id of the in-flight memory instruction. */
-        std::uint64_t traceId = 0;
     };
 
     /** Put warp @p w in the ready queue and kick the issue loop.

@@ -108,23 +108,6 @@ void
 MrcScheme::withCheckField(Addr logical, WakeFn fn,
                           std::uint64_t trace_id)
 {
-    if (ctx_.telemetry && ctx_.telemetry->tracing() && trace_id != 0) {
-        // The probe span covers hit detection through field residency
-        // (zero-length on a hit, fetch latency on a miss). The wrapped
-        // callback cannot capture another WakeFn inline, so it parks
-        // in the wake arena and carries the 4-byte handle.
-        const Cycle start = ctx_.events->now();
-        const std::uint32_t inner =
-            ctx_.arenas->parkedWakes.acquire(std::move(fn));
-        fn = [this, trace_id, start, inner](bool resident) {
-            ctx_.telemetry->span(telemetry::Stage::kMrcProbe, trace_id,
-                                 start, ctx_.events->now(), "resident",
-                                 resident ? 1.0 : 0.0);
-            WakeFn parked = std::move(ctx_.arenas->parkedWakes[inner]);
-            ctx_.arenas->parkedWakes.release(inner);
-            parked(resident);
-        };
-    }
     const auto probe = mrc_.access(mrcAddr(logical),
                                    /* is_write= */ false);
     if (ctx_.telemetry && trace_id != 0) {

@@ -139,36 +139,16 @@ namespace {
 
 /**
  * Stamp @p req with a lifecycle id (the caller's @p trace_id, or a
- * fresh one for standalone transactions) and the stage span to record
- * at completion. No-op when tracing is off.
- *
- * The span is stamped as (stage, start) fields rather than by wrapping
- * onComplete — the fixed-capacity callback cannot nest another
- * callback, and the channel records the span itself at completion
- * time, immediately before onComplete fires (same record order as the
- * old wrapping).
- *
- * Posted transactions (null onComplete) only get the id stamp: the
- * channel's synchronous "dram.service" span covers them, and turning
- * a null callback non-null would schedule a completion event the
- * untraced run never sees — perturbing same-cycle event ordering.
- * Tracing must be timing-neutral.
+ * fresh one for standalone transactions) so the channel can emit
+ * flight records for it. No-op when no recorder is live.
  */
 void
-traceTxn(telemetry::Telemetry *tel, telemetry::Stage stage,
-         std::uint64_t trace_id, EventQueue *events, DramRequest &req)
+stampTxnId(telemetry::Telemetry *tel, std::uint64_t trace_id,
+           DramRequest &req)
 {
-    // active() covers both the span sink and the flight recorder: the
-    // id stamp alone lets the channel emit flight records even when
-    // span tracing is off.
     if (!tel || !tel->active())
         return;
-    const std::uint64_t id = trace_id ? trace_id : tel->newId();
-    req.traceId = id;
-    if (!req.onComplete || !tel->tracing())
-        return;
-    req.traceStage = static_cast<std::uint8_t>(stage);
-    req.traceStart = events->now();
+    req.traceId = trace_id ? trace_id : tel->newId();
 }
 
 } // namespace
@@ -186,10 +166,7 @@ ProtectionScheme::issueDataTxn(Addr logical, bool is_write,
     req.phys = dataPhys(logical);
     req.isWrite = is_write;
     req.onComplete = std::move(on_complete);
-    traceTxn(ctx_.telemetry,
-             is_write ? telemetry::Stage::kDramDataWrite
-                      : telemetry::Stage::kDramDataRead,
-             trace_id, ctx_.events, req);
+    stampTxnId(ctx_.telemetry, trace_id, req);
     ctx_.dram->enqueue(ctx_.channel, std::move(req));
 }
 
@@ -207,10 +184,7 @@ ProtectionScheme::issueEccTxn(Addr logical, bool is_write,
     req.isWrite = is_write;
     req.isEcc = true;
     req.onComplete = std::move(on_complete);
-    traceTxn(ctx_.telemetry,
-             is_write ? telemetry::Stage::kDramEccWrite
-                      : telemetry::Stage::kDramEccRead,
-             trace_id, ctx_.events, req);
+    stampTxnId(ctx_.telemetry, trace_id, req);
     ctx_.dram->enqueue(ctx_.channel, std::move(req));
 }
 
@@ -337,10 +311,6 @@ ProtectionScheme::decodeSector(Addr logical, ecc::MemTag tag,
             break;
         }
     }
-    if (ctx_.telemetry && ctx_.telemetry->tracing() && trace_id != 0)
-        ctx_.telemetry->instant(telemetry::Stage::kDecode, trace_id,
-                                ctx_.events->now(), "status",
-                                static_cast<double>(res.status));
     if (ctx_.telemetry && trace_id != 0) {
         if (auto *fr = ctx_.telemetry->recorder())
             fr->record(telemetry::RecordKind::kDecode, trace_id,

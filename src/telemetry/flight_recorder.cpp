@@ -1,7 +1,9 @@
 #include "telemetry/flight_recorder.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "common/log.hpp"
@@ -138,16 +140,26 @@ readFlightDump(std::istream &is, FlightDump *out, std::string *error)
     if (h.recordBytes != sizeof(FlightRecord))
         return readFail(error, "flight dump record size mismatch");
 
+    // The header's count is untrusted: it must neither overflow the
+    // byte size nor size an allocation by itself. Records are read in
+    // bounded chunks, so a count beyond the bytes actually present
+    // fails as truncated after at most one chunk of allocation.
+    if (h.count > static_cast<std::uint64_t>(
+                      std::numeric_limits<std::streamsize>::max()) /
+                      sizeof(FlightRecord))
+        return readFail(error, "flight dump record count overflows");
+    constexpr std::uint64_t kChunkRecords = 1u << 16;
     FlightDump dump;
     dump.dropped = h.dropped;
     dump.lastCycle = h.lastCycle;
-    dump.records.resize(h.count);
-    if (h.count > 0) {
-        is.read(reinterpret_cast<char *>(dump.records.data()),
-                static_cast<std::streamsize>(h.count *
-                                             sizeof(FlightRecord)));
+    for (std::uint64_t done = 0; done < h.count;) {
+        const std::uint64_t n = std::min(h.count - done, kChunkRecords);
+        dump.records.resize(done + n);
+        is.read(reinterpret_cast<char *>(dump.records.data() + done),
+                static_cast<std::streamsize>(n * sizeof(FlightRecord)));
         if (!is)
             return readFail(error, "truncated flight dump records");
+        done += n;
     }
     for (const FlightRecord &r : dump.records) {
         if (r.kind >= static_cast<std::uint8_t>(RecordKind::kCount))

@@ -12,8 +12,12 @@
  * (critical_path.hpp) replays offline; cachecraft_trace reads the
  * binary dump and emits human- and diff-friendly artifacts.
  *
- * Gating mirrors the trace sink: the whole record path compiles to
- * nothing under CACHECRAFT_TRACE_DISABLED, and at runtime hooks go
+ * This is the only per-request capture. Chrome/Perfetto JSON comes
+ * from the dump (`cachecraft_trace --chrome`; writeChromePathJson in
+ * critical_path.hpp).
+ *
+ * Gating: the whole record path compiles to nothing under
+ * CACHECRAFT_TRACE_DISABLED, and at runtime hooks go
  * through `telemetry->recorder()` which returns nullptr unless
  * TelemetryOptions::flightRecorderEnabled is set, so a disabled
  * recorder costs one predicted branch per hook (same contract as
@@ -89,7 +93,7 @@ static_assert(sizeof(FlightRecord) == 32,
 
 /**
  * Fixed-capacity ring of FlightRecords; oldest-drop overflow, counted,
- * mirroring TraceSink so overflow surfaces as a RunStats warning.
+ * so overflow surfaces as a RunStats warning.
  */
 class FlightRecorder
 {

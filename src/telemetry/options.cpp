@@ -1,9 +1,9 @@
 #include "telemetry/options.hpp"
 
-#include <cctype>
 #include <cmath>
 
 #include "common/json.hpp"
+#include "common/parse_number.hpp"
 
 namespace cachecraft::telemetry {
 
@@ -42,7 +42,7 @@ telemetryKnobNames()
 {
     return {"flight_capacity", "flight_recorder", "host_profile",
             "profile",         "profile_interval", "reuse_max_assoc",
-            "reuse_profile",   "sample_interval",  "trace_capacity"};
+            "reuse_profile",   "sample_interval"};
 }
 
 bool
@@ -56,11 +56,6 @@ applyTelemetryKnob(TelemetryOptions &options, const std::string &knob,
                              error))
             return false;
         options.sampleInterval = n;
-    } else if (knob == "trace_capacity") {
-        if (!asPositiveCount(v, n, "wants a positive entry capacity",
-                             error))
-            return false;
-        options.traceCapacity = static_cast<std::size_t>(n);
     } else if (knob == "profile") {
         if (!asBool(v, b, error))
             return false;
@@ -110,15 +105,12 @@ applyTelemetryKnobText(TelemetryOptions &options,
     if (text == "true" || text == "false")
         return applyTelemetryKnob(options, knob,
                                   JsonValue(text == "true"), error);
-    bool digits = !text.empty();
-    for (char ch : text)
-        digits = digits &&
-                 std::isdigit(static_cast<unsigned char>(ch)) != 0;
-    if (digits) {
-        // Parse via double to share the JSON-path validation; every
-        // in-range knob value survives the round-trip exactly.
-        return applyTelemetryKnob(
-            options, knob, JsonValue(std::stod(text)), error);
+    if (const auto n = parseUnsigned(text)) {
+        // Pass as a JSON number to share the JSON-path validation;
+        // every in-range knob value survives the round-trip exactly.
+        return applyTelemetryKnob(options, knob,
+                                  JsonValue(static_cast<double>(*n)),
+                                  error);
     }
     if (error)
         *error = "wants a boolean or non-negative integer";

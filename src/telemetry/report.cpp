@@ -88,7 +88,6 @@ writeRunReport(std::ostream &os, const RunManifest &manifest,
     w.key("co_located_layout").value(config.coLocatedLayout);
     w.key("system_seed").value(config.seed);
     w.key("sample_interval").value(config.telemetry.sampleInterval);
-    w.key("trace_enabled").value(config.telemetry.traceEnabled);
     w.key("profile_enabled").value(config.telemetry.profileEnabled);
     w.key("profile_interval").value(config.telemetry.profileInterval);
     w.endObject();

@@ -115,6 +115,10 @@ TEST(CampaignSpecTest, StructuralErrorsRejectTheWholeSpec)
         // unknown knob in base
         R"({"name": "x", "base": {"bogus_knob": 1},
             "grid": {"workload": ["streaming"]}})",
+        // the retired span tracer's knob, in base and as an axis
+        R"({"name": "x", "base": {"trace_capacity": 64},
+            "grid": {"workload": ["streaming"]}})",
+        R"({"name": "x", "grid": {"trace_capacity": [64]}})",
         // wrong schema string
         R"({"schema": "cachecraft.run_report/1", "name": "x",
             "grid": {"workload": ["streaming"]}})",

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -167,6 +168,64 @@ TEST(FlightDump, RejectsTruncatedRecords)
     std::string error;
     EXPECT_FALSE(readFlightDump(cut, &dump, &error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(FlightDump, RoundTripsAcrossReadChunks)
+{
+    // More records than one read chunk (65536): the chunked reader
+    // must stitch them back in order.
+    constexpr std::uint64_t kRecords = 70000;
+    FlightRecorder fr(kRecords);
+    for (std::uint64_t i = 1; i <= kRecords; ++i)
+        fr.record(RecordKind::kComplete, i, i);
+    std::stringstream buf(std::ios::in | std::ios::out |
+                          std::ios::binary);
+    fr.writeBinary(buf);
+
+    FlightDump dump;
+    std::string error;
+    ASSERT_TRUE(readFlightDump(buf, &dump, &error)) << error;
+    ASSERT_EQ(dump.records.size(), kRecords);
+    EXPECT_EQ(dump.records[65535].id, 65536u);
+    EXPECT_EQ(dump.records.back().id, kRecords);
+}
+
+/** A valid 40-byte dump header, no records, claiming @p count. */
+std::string
+headerClaiming(std::uint64_t count)
+{
+    FlightRecorder fr(1);
+    std::ostringstream os(std::ios::binary);
+    fr.writeBinary(os);
+    std::string bytes = os.str();
+    // The count field follows the 8-byte magic and two 32-bit fields.
+    std::memcpy(bytes.data() + 16, &count, sizeof count);
+    return bytes;
+}
+
+TEST(FlightDump, RejectsHostileRecordCounts)
+{
+    struct Case
+    {
+        std::uint64_t count;
+        const char *diagnostic;
+    };
+    const Case cases[] = {
+        // 32 TiB of records that are not there: fails as truncated
+        // instead of allocating them up front.
+        {std::uint64_t{1} << 40, "truncated flight dump records"},
+        // count * 32 wraps 64 bits.
+        {(std::uint64_t{1} << 59) + 1,
+         "flight dump record count overflows"},
+    };
+    for (const Case &c : cases) {
+        std::stringstream buf(headerClaiming(c.count),
+                              std::ios::in | std::ios::binary);
+        FlightDump dump;
+        std::string error;
+        EXPECT_FALSE(readFlightDump(buf, &dump, &error)) << c.count;
+        EXPECT_EQ(error, c.diagnostic) << c.count;
+    }
 }
 
 } // namespace

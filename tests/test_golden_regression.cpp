@@ -29,11 +29,11 @@ namespace {
 namespace fs = std::filesystem;
 
 /** Pinned digest of the ci_smoke report tree (see file comment).
- *  Last deliberate refresh: the sharded-engine rework (crossbar
- *  arbitration moved to canonical epoch barriers and store commits to
- *  epoch boundaries — same model, one-time timing re-baseline). */
+ *  Last deliberate refresh: the span tracer's removal dropped its
+ *  always-empty per-stage latency histograms and the trace_enabled
+ *  config key from every report; no other value moved. */
 constexpr const char *kCiSmokeGoldenHash =
-    "a163453cd83010fc81960893128e4a7b749e87fd62e5d6569b505496098c69ca";
+    "60431556f3c99cb98afbe29588a4f008b76f461aed5cce6d2b20838bddfa36ff";
 
 std::string
 slurp(const fs::path &path)
@@ -71,9 +71,9 @@ runCiSmoke(const fs::path &out_dir, unsigned jobs, unsigned shards = 1)
 TEST(GoldenRegression, CiSmokeReportTreeMatchesPinnedDigest)
 {
     // The pinned tree comes from the default build: ci_smoke enables
-    // the profiler, whose report section (and the telemetry.stage
-    // epoch stats) vanish when tracing is compiled out, so the digest
-    // can only be pinned for one build flavor.
+    // the profiler, whose report section (and its epoch stats) vanish
+    // when tracing is compiled out, so the digest can only be pinned
+    // for one build flavor.
     if (!telemetry::kTraceCompiledIn)
         GTEST_SKIP() << "tracing compiled out";
     const fs::path base = fs::path(::testing::TempDir()) / "golden_e2e";

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the run-telemetry subsystem: JSON utilities, the trace
- * ring, the epoch-delta sampler (telescoping invariant), and a full
- * traced GpuSystem run whose artifacts must be valid, well-nested
- * JSON.
+ * Tests for the run-telemetry subsystem: JSON utilities, the hub's
+ * gates, the epoch-delta sampler (telescoping invariant), and a full
+ * flight-recorded GpuSystem run whose records nest inside each
+ * request's window and whose artifacts must be valid JSON.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +12,11 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "core/cachecraft.hpp"
+#include "telemetry/critical_path.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/flight_recorder.hpp"
 
@@ -88,101 +90,22 @@ TEST(Json, WriterEmitsValidNestedDocument)
 }
 
 // --------------------------------------------------------------------
-// Trace ring
-// --------------------------------------------------------------------
-
-telemetry::TraceEvent
-eventAt(Cycle start)
-{
-    telemetry::TraceEvent ev;
-    ev.stage = telemetry::Stage::kL2Read;
-    ev.id = 1;
-    ev.start = start;
-    ev.end = start + 1;
-    return ev;
-}
-
-TEST(TraceSink, KeepsNewestAndCountsDropped)
-{
-    telemetry::TraceSink sink(4);
-    for (Cycle c = 0; c < 10; ++c)
-        sink.push(eventAt(c));
-
-    EXPECT_EQ(sink.size(), 4u);
-    EXPECT_EQ(sink.capacity(), 4u);
-    EXPECT_EQ(sink.dropped(), 6u);
-
-    // snapshot() returns the retained (newest) events, oldest first.
-    const auto events = sink.snapshot();
-    ASSERT_EQ(events.size(), 4u);
-    for (std::size_t i = 0; i < events.size(); ++i)
-        EXPECT_EQ(events[i].start, 6u + i);
-}
-
-TEST(TraceSink, NoDropsBelowCapacity)
-{
-    telemetry::TraceSink sink(8);
-    for (Cycle c = 0; c < 5; ++c)
-        sink.push(eventAt(c));
-    EXPECT_EQ(sink.size(), 5u);
-    EXPECT_EQ(sink.dropped(), 0u);
-}
-
-// --------------------------------------------------------------------
 // Telemetry hub
 // --------------------------------------------------------------------
 
-TEST(Telemetry, RuntimeGateOffRecordsNothing)
+TEST(Telemetry, ActiveOnlyWithTheRecorder)
 {
-    StatRegistry stats;
-    telemetry::TelemetryOptions opts; // traceEnabled = false
-    telemetry::Telemetry tel(&stats, opts);
-
-    EXPECT_FALSE(tel.tracing());
-    tel.span(telemetry::Stage::kL2Read, tel.newId(), 0, 10);
-    EXPECT_EQ(tel.sink(), nullptr);
-    EXPECT_EQ(tel.stageHistogram(telemetry::Stage::kL2Read).count(), 0u);
-}
-
-TEST(Telemetry, SpansFeedRingAndHistogram)
-{
-    if (!telemetry::kTraceCompiledIn)
-        GTEST_SKIP() << "tracing compiled out";
-
-    StatRegistry stats;
     telemetry::TelemetryOptions opts;
-    opts.traceEnabled = true;
-    opts.traceCapacity = 16;
-    telemetry::Telemetry tel(&stats, opts);
+    opts.profileEnabled = true; // other observers do not need ids
+    telemetry::Telemetry off(nullptr, opts);
+    EXPECT_FALSE(off.active());
 
-    ASSERT_TRUE(tel.tracing());
-    const std::uint64_t id = tel.newId();
+    opts.flightRecorderEnabled = true;
+    telemetry::Telemetry on(nullptr, opts);
+    EXPECT_EQ(on.active(), telemetry::kTraceCompiledIn);
+    const std::uint64_t id = on.newId();
     EXPECT_NE(id, 0u);
-    tel.span(telemetry::Stage::kL2Read, id, 100, 140);
-    tel.instant(telemetry::Stage::kDecode, id, 140, "status", 0.0);
-
-    ASSERT_NE(tel.sink(), nullptr);
-    EXPECT_EQ(tel.sink()->size(), 2u);
-    // Spans sample the per-stage latency histogram; instants do not.
-    EXPECT_EQ(tel.stageHistogram(telemetry::Stage::kL2Read).count(), 1u);
-    EXPECT_DOUBLE_EQ(
-        tel.stageHistogram(telemetry::Stage::kL2Read).mean(), 40.0);
-    EXPECT_EQ(tel.stageHistogram(telemetry::Stage::kDecode).count(), 0u);
-    // The histograms are registered with the provided registry.
-    EXPECT_NE(stats.histogram("telemetry.stage.l2.read"), nullptr);
-}
-
-TEST(Telemetry, StageNamesAreStable)
-{
-    using telemetry::Stage;
-    EXPECT_STREQ(toString(Stage::kCoalesce), "coalesce");
-    EXPECT_STREQ(toString(Stage::kMemInst), "mem_inst");
-    EXPECT_STREQ(toString(Stage::kL2Read), "l2.read");
-    EXPECT_STREQ(toString(Stage::kMrcProbe), "mrc.probe");
-    EXPECT_STREQ(toString(Stage::kDramDataRead), "dram.data.read");
-    EXPECT_STREQ(toString(Stage::kDramEccRead), "dram.ecc.read");
-    EXPECT_STREQ(toString(Stage::kDramService), "dram.service");
-    EXPECT_STREQ(toString(Stage::kDecode), "decode");
+    EXPECT_NE(on.newId(), id);
 }
 
 // --------------------------------------------------------------------
@@ -280,8 +203,8 @@ tracedConfig()
     cfg.dram.numChannels = 4;
     cfg.dram.channelCapacity = 64 * 1024 * 1024;
     cfg.l2.cache.sizeBytes = 64 * 1024;
-    cfg.telemetry.traceEnabled = true;
-    cfg.telemetry.traceCapacity = 1u << 20; // big enough: no drops
+    cfg.telemetry.flightRecorderEnabled = true;
+    cfg.telemetry.flightCapacity = 1u << 20; // big enough: no drops
     cfg.telemetry.sampleInterval = 2000;
     return cfg;
 }
@@ -307,10 +230,16 @@ class TracedRun : public ::testing::Test
         gpu_ = std::make_unique<GpuSystem>(tracedConfig());
         rs_ = gpu_->run(
             makeWorkload(WorkloadKind::kStreaming, tinyWorkload()));
+        if (const auto *fr = gpu_->telemetry().recorder()) {
+            records_ = fr->snapshot();
+            dropped_ = fr->dropped();
+        }
     }
 
     std::unique_ptr<GpuSystem> gpu_;
     RunStats rs_;
+    std::vector<telemetry::FlightRecord> records_;
+    std::uint64_t dropped_ = 0;
 };
 
 std::size_t
@@ -323,69 +252,87 @@ countOccurrences(const std::string &hay, const std::string &needle)
     return n;
 }
 
-TEST_F(TracedRun, ChromeTraceIsValidAndBalanced)
+TEST_F(TracedRun, LifecycleRecordsNestInsideRequestWindow)
 {
-    ASSERT_NE(gpu_->telemetry().sink(), nullptr);
-    ASSERT_EQ(gpu_->telemetry().sink()->dropped(), 0u)
-        << "raise traceCapacity: nesting checks need the full trace";
+    ASSERT_EQ(dropped_, 0u)
+        << "raise flightCapacity: nesting checks need every record";
 
-    std::ostringstream os;
-    gpu_->telemetry().writeChromeJson(os);
-    const std::string json = os.str();
+    // [request_start, complete] window of every completed request id.
+    std::map<std::uint64_t, Cycle> starts;
+    std::map<std::uint64_t, std::pair<Cycle, Cycle>> window;
+    for (const auto &r : records_) {
+        const auto kind = static_cast<telemetry::RecordKind>(r.kind);
+        if (kind == telemetry::RecordKind::kRequestStart)
+            starts[r.id] = r.at;
+    }
+    for (const auto &r : records_) {
+        const auto it = starts.find(r.id);
+        if (static_cast<telemetry::RecordKind>(r.kind) ==
+                telemetry::RecordKind::kComplete &&
+            it != starts.end())
+            window[r.id] = {it->second, r.at};
+    }
+    ASSERT_FALSE(window.empty());
 
-    std::string err;
-    ASSERT_TRUE(jsonValidate(json, &err)) << err;
-
-    // Every async span opens ("b") exactly once and closes ("e") once.
-    const std::size_t begins = countOccurrences(json, "\"ph\":\"b\"");
-    const std::size_t ends = countOccurrences(json, "\"ph\":\"e\"");
-    EXPECT_GT(begins, 0u);
-    EXPECT_EQ(begins, ends);
-    EXPECT_GT(countOccurrences(json, "\"ph\":\"i\""), 0u);
-    EXPECT_NE(json.find("\"l2.read\""), std::string::npos);
-    EXPECT_NE(json.find("\"dram.service\""), std::string::npos);
-}
-
-TEST_F(TracedRun, LifecycleSpansNestInsideL2Envelope)
-{
-    const auto events = gpu_->telemetry().sink()->snapshot();
-    ASSERT_FALSE(events.empty());
-
-    // Collect the l2.read envelope for every traced L2 request id.
-    std::map<std::uint64_t, std::pair<Cycle, Cycle>> envelope;
-    for (const auto &ev : events)
-        if (ev.stage == telemetry::Stage::kL2Read)
-            envelope[ev.id] = {ev.start, ev.end};
-    ASSERT_FALSE(envelope.empty());
-
-    // Every downstream span sharing an id (MRC probe, DRAM txns,
-    // decode) must fit inside that id's l2.read envelope.
+    // Every record sharing a completed id (L1, crossbar, L2, MRC,
+    // DRAM, decode) must fall inside that id's window.
     std::size_t nested = 0;
-    for (const auto &ev : events) {
-        if (ev.stage == telemetry::Stage::kL2Read)
-            continue;
-        const auto it = envelope.find(ev.id);
-        if (it == envelope.end())
-            continue; // prefetch / SM-track event: no envelope
-        EXPECT_GE(ev.start, it->second.first)
-            << toString(ev.stage) << " id " << ev.id;
-        EXPECT_LE(ev.end, it->second.second)
-            << toString(ev.stage) << " id " << ev.id;
+    for (const auto &r : records_) {
+        const auto it = window.find(r.id);
+        if (it == window.end())
+            continue; // warp-instruction or standalone-txn id
+        const auto kind = static_cast<telemetry::RecordKind>(r.kind);
+        EXPECT_GE(r.at, it->second.first)
+            << toString(kind) << " id " << r.id;
+        EXPECT_LE(r.at, it->second.second)
+            << toString(kind) << " id " << r.id;
         ++nested;
     }
-    EXPECT_GT(nested, 0u);
+    EXPECT_GT(nested, 2 * window.size());
 }
 
-TEST_F(TracedRun, StageHistogramsPopulated)
+TEST_F(TracedRun, ChromePathExportIsValidAndNested)
 {
-    const auto &h =
-        gpu_->telemetry().stageHistogram(telemetry::Stage::kL2Read);
-    EXPECT_GT(h.count(), 0u);
-    EXPECT_GT(h.quantile(0.99), 0.0);
-    EXPECT_GT(gpu_->telemetry()
-                  .stageHistogram(telemetry::Stage::kDramService)
-                  .count(),
-              0u);
+    const auto bd = telemetry::analyzeCriticalPath(records_, 8);
+    ASSERT_FALSE(bd.slowest.empty());
+
+    std::ostringstream os;
+    telemetry::writeChromePathJson(os, records_, bd.slowest);
+    std::string err;
+    const auto doc = jsonParse(os.str(), &err);
+    ASSERT_TRUE(doc.has_value()) << err;
+    const JsonValue *events = doc->find("traceEvents");
+    ASSERT_NE(events, nullptr);
+
+    // Every span opens ("b") once and closes ("e") once, and each
+    // segment span lies inside its request's "request" span.
+    std::size_t begins = 0;
+    std::size_t ends = 0;
+    std::size_t segments = 0;
+    std::map<std::string, std::pair<double, double>> request;
+    for (const JsonValue &ev : events->asArray()) {
+        const std::string &ph = ev.find("ph")->asString();
+        begins += ph == "b";
+        ends += ph == "e";
+        if (ev.find("name")->asString() != "request")
+            continue;
+        auto &span = request[ev.find("id")->asString()];
+        (ph == "b" ? span.first : span.second) =
+            ev.find("ts")->asNumber();
+    }
+    EXPECT_GT(begins, 0u);
+    EXPECT_EQ(begins, ends);
+    EXPECT_EQ(request.size(), bd.slowest.size());
+    for (const JsonValue &ev : events->asArray()) {
+        if (ev.find("name")->asString() == "request")
+            continue;
+        const auto &span = request.at(ev.find("id")->asString());
+        const double ts = ev.find("ts")->asNumber();
+        EXPECT_GE(ts, span.first) << os.str();
+        EXPECT_LE(ts, span.second) << os.str();
+        ++segments;
+    }
+    EXPECT_GT(segments, 0u);
 }
 
 TEST_F(TracedRun, SamplerSumsMatchLiveRegistry)
@@ -418,8 +365,6 @@ TEST_F(TracedRun, RunReportIsValidJson)
     EXPECT_NE(os.str().find("cachecraft.run_report/1"),
               std::string::npos);
     EXPECT_NE(os.str().find("\"epochs\""), std::string::npos);
-    EXPECT_NE(os.str().find("telemetry.stage.l2.read"),
-              std::string::npos);
     // Cross-artifact versioning: the report must parse and carry this
     // build's schema_version (cachecraft_diff refuses it otherwise),
     // plus the warnings array (empty on this clean run).
@@ -443,7 +388,7 @@ TEST_F(TracedRun, RunReportCarriesProfileSection)
 
     // ...while a profiled system feeds it through writeRunReport.
     SystemConfig cfg = tracedConfig();
-    cfg.telemetry.traceEnabled = false;
+    cfg.telemetry.flightRecorderEnabled = false;
     cfg.telemetry.profileEnabled = true;
     GpuSystem profiled(cfg);
     const RunStats prs = profiled.run(
@@ -462,50 +407,16 @@ TEST_F(TracedRun, RunReportCarriesProfileSection)
     EXPECT_NE(os.str().find("\"hot_rows\""), std::string::npos);
 }
 
-TEST(RunWarnings, TraceRingOverflowIsReported)
-{
-    if (!telemetry::kTraceCompiledIn)
-        GTEST_SKIP() << "tracing compiled out";
-
-    // A deliberately tiny ring must overflow and surface a warning in
-    // RunStats (and from there the JSON report's warnings array).
-    SystemConfig cfg = tracedConfig();
-    cfg.telemetry.traceCapacity = 8;
-    GpuSystem gpu(cfg);
-    const RunStats rs = gpu.run(
-        makeWorkload(WorkloadKind::kStreaming, tinyWorkload()));
-
-    ASSERT_FALSE(rs.warnings.empty());
-    bool found = false;
-    for (const std::string &w : rs.warnings)
-        found = found || w.find("trace ring overflowed") !=
-                             std::string::npos;
-    EXPECT_TRUE(found);
-
-    std::ostringstream os;
-    telemetry::writeRunReport(os, telemetry::RunManifest{},
-                              gpu.config(), rs, gpu.statsRegistry(),
-                              gpu.sampler());
-    std::string err;
-    const auto doc = jsonParse(os.str(), &err);
-    ASSERT_TRUE(doc.has_value()) << err;
-    const JsonValue *warnings = doc->find("warnings");
-    ASSERT_NE(warnings, nullptr);
-    EXPECT_FALSE(warnings->asArray().empty());
-}
-
 TEST(RunWarnings, FlightRingOverflowIsReported)
 {
     if (!telemetry::kTraceCompiledIn)
         GTEST_SKIP() << "tracing compiled out";
 
-    // Same contract as the trace ring: a too-small flight ring must
-    // overflow, count the drops exactly, and surface a warning that
+    // A too-small flight ring must overflow, count the drops
+    // exactly, and surface a warning that
     // round-trips into the JSON report — alongside the critical-path
     // section the recorder feeds.
     SystemConfig cfg = tracedConfig();
-    cfg.telemetry.traceEnabled = false;
-    cfg.telemetry.flightRecorderEnabled = true;
     cfg.telemetry.flightCapacity = 8;
     GpuSystem gpu(cfg);
     const RunStats rs = gpu.run(
@@ -558,7 +469,7 @@ TEST(FlightRecorderOverhead, RecordingLeavesReportBytesUntouched)
     // the opt-in "critical_path" section may differ, so both reports
     // here are written without it.
     SystemConfig off = tracedConfig();
-    off.telemetry.traceEnabled = false;
+    off.telemetry.flightRecorderEnabled = false;
     off.telemetry.sampleInterval = 0;
     SystemConfig on = off;
     on.telemetry.flightRecorderEnabled = true;
@@ -598,7 +509,7 @@ TEST(FlightRecorderOverhead, RecorderOnDoesNotChangeTiming)
     // Recording is observational: enabling the flight recorder must
     // not move a single simulated cycle or DRAM transaction.
     SystemConfig off = tracedConfig();
-    off.telemetry.traceEnabled = false;
+    off.telemetry.flightRecorderEnabled = false;
     off.telemetry.sampleInterval = 0;
     SystemConfig on = off;
     on.telemetry.flightRecorderEnabled = true;
@@ -611,20 +522,6 @@ TEST(FlightRecorderOverhead, RecorderOnDoesNotChangeTiming)
     EXPECT_EQ(ra.cycles, rb.cycles);
     EXPECT_EQ(ra.dramTotalTxns, rb.dramTotalTxns);
     EXPECT_EQ(ra.instructions, rb.instructions);
-}
-
-TEST(TracedOverhead, TracingOffMatchesBaselineCycles)
-{
-    // The runtime gate must not change simulated behaviour: a traced
-    // run and an untraced run of the same workload agree exactly.
-    SystemConfig off = tracedConfig();
-    off.telemetry.traceEnabled = false;
-    off.telemetry.sampleInterval = 0;
-    GpuSystem a(tracedConfig());
-    GpuSystem b(off);
-    const auto trace =
-        makeWorkload(WorkloadKind::kStreaming, tinyWorkload());
-    EXPECT_EQ(a.run(trace).cycles, b.run(trace).cycles);
 }
 
 // --------------------------------------------------------------------

@@ -27,12 +27,12 @@ TEST(TelemetryKnobs, NamesAreSortedAndComplete)
     for (const char *knob :
          {"flight_capacity", "flight_recorder", "host_profile",
           "profile", "profile_interval", "reuse_max_assoc",
-          "reuse_profile", "sample_interval", "trace_capacity"}) {
+          "reuse_profile", "sample_interval"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), knob),
                   names.end())
             << knob;
     }
-    EXPECT_EQ(names.size(), 9u);
+    EXPECT_EQ(names.size(), 8u);
 }
 
 TEST(TelemetryKnobs, BooleanGatesRoundTrip)
@@ -76,10 +76,6 @@ TEST(TelemetryKnobs, CountKnobsRoundTrip)
         << error;
     EXPECT_EQ(options.sampleInterval, 2048u);
 
-    ASSERT_TRUE(applyTelemetryKnob(options, "trace_capacity",
-                                   JsonValue(512.0), &error));
-    EXPECT_EQ(options.traceCapacity, 512u);
-
     ASSERT_TRUE(applyTelemetryKnob(options, "flight_capacity",
                                    JsonValue(4096.0), &error));
     EXPECT_EQ(options.flightCapacity, 4096u);
@@ -112,7 +108,6 @@ TEST(TelemetryKnobs, RejectsBadCounts)
     const Case cases[] = {
         {"sample_interval", "wants a positive cycle interval"},
         {"profile_interval", "wants a positive cycle interval"},
-        {"trace_capacity", "wants a positive entry capacity"},
         {"flight_capacity", "wants a positive record capacity"},
         {"reuse_max_assoc", "wants a positive associativity"},
     };
@@ -142,11 +137,20 @@ TEST(TelemetryKnobs, RejectionLeavesOptionsUntouched)
 
 TEST(TelemetryKnobs, UnknownKnobRejects)
 {
-    TelemetryOptions options;
-    std::string error;
-    EXPECT_FALSE(applyTelemetryKnob(options, "warp_speed",
-                                    JsonValue(true), &error));
-    EXPECT_EQ(error, "unknown telemetry knob");
+    // trace_capacity sized the retired span tracer's ring; it is now
+    // as unknown as a typo, on both surfaces.
+    for (const char *knob : {"warp_speed", "trace_capacity"}) {
+        TelemetryOptions options;
+        std::string error;
+        EXPECT_FALSE(
+            applyTelemetryKnob(options, knob, JsonValue(64.0), &error))
+            << knob;
+        EXPECT_EQ(error, "unknown telemetry knob") << knob;
+        EXPECT_FALSE(
+            applyTelemetryKnobText(options, knob, "64", &error))
+            << knob;
+        EXPECT_EQ(error, "unknown telemetry knob") << knob;
+    }
 }
 
 TEST(TelemetryKnobText, ParsesBooleansAndDigits)

@@ -34,6 +34,8 @@
 #include "telemetry/reuse_dist.hpp"
 #include "telemetry/telemetry.hpp"
 
+#include "tool_args.hpp"
+
 using namespace cachecraft;
 
 namespace {
@@ -144,66 +146,54 @@ main(int argc, char **argv)
     bool validate = false;
     bool quiet = false;
 
+    const ToolArgs args("cachecraft_curves", argc, argv, 1);
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        auto need_value = [&](int &idx) -> std::string {
-            if (idx + 1 >= argc)
-                fatal(flag + " needs a value");
-            return argv[++idx];
-        };
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--workload") {
-            const std::string name = need_value(i);
+            const std::string name = args.value(i);
             const auto kind = parseWorkload(name);
             if (!kind)
                 fatal("unknown workload: " + name);
             workload = *kind;
         } else if (flag == "--footprint-mib") {
-            wparams.footprintBytes =
-                std::stoull(need_value(i)) * 1024 * 1024;
+            wparams.footprintBytes = args.bytes(i, 1024 * 1024);
         } else if (flag == "--warps") {
-            wparams.numWarps =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            wparams.numWarps = args.count<unsigned>(i);
         } else if (flag == "--mem-insts") {
-            wparams.memInstsPerWarp =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            wparams.memInstsPerWarp = args.count<unsigned>(i);
         } else if (flag == "--seed") {
-            wparams.seed = std::stoull(need_value(i));
+            wparams.seed = args.count(i);
         } else if (flag == "--scheme") {
-            const std::string name = need_value(i);
+            const std::string name = args.value(i);
             const auto kind = parseScheme(name);
             if (!kind)
                 fatal("unknown scheme: " + name);
             config.scheme = *kind;
         } else if (flag == "--sms") {
-            config.numSms =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            config.numSms = args.count<unsigned>(i);
         } else if (flag == "--l2-kib") {
-            config.l2.cache.sizeBytes =
-                std::stoull(need_value(i)) * 1024;
+            config.l2.cache.sizeBytes = args.bytes(i, 1024);
         } else if (flag == "--mrc-kib") {
-            config.mrc.sizeBytes = std::stoull(need_value(i)) * 1024;
+            config.mrc.sizeBytes = args.bytes(i, 1024);
         } else if (flag == "--max-assoc") {
-            config.telemetry.reuseMaxAssoc =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            config.telemetry.reuseMaxAssoc = args.count<unsigned>(i);
             if (config.telemetry.reuseMaxAssoc == 0)
                 fatal("--max-assoc must be positive");
         } else if (flag == "--set-groups") {
-            config.telemetry.reuseSetGroups =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            config.telemetry.reuseSetGroups = args.count<unsigned>(i);
             if (config.telemetry.reuseSetGroups == 0)
                 fatal("--set-groups must be positive");
         } else if (flag == "--epoch-accesses") {
-            config.telemetry.reuseEpochAccesses =
-                std::stoull(need_value(i));
+            config.telemetry.reuseEpochAccesses = args.count(i);
             if (config.telemetry.reuseEpochAccesses == 0)
                 fatal("--epoch-accesses must be positive");
         } else if (flag == "--json") {
-            json_path = need_value(i);
+            json_path = args.value(i);
         } else if (flag == "--svg") {
-            svg_path = need_value(i);
+            svg_path = args.value(i);
         } else if (flag == "--validate") {
             validate = true;
         } else if (flag == "--quiet") {

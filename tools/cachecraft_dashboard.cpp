@@ -24,6 +24,8 @@
 #include "campaign/dashboard.hpp"
 #include "telemetry/report_set.hpp"
 
+#include "tool_args.hpp"
+
 using namespace cachecraft;
 namespace fs = std::filesystem;
 
@@ -58,16 +60,7 @@ main(int argc, char **argv)
     std::string baseline_dir;
     campaign::DashboardOptions options;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr,
-                         "cachecraft_dashboard: flag %s needs a "
-                         "value\n",
-                         argv[i]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
+    const ToolArgs args("cachecraft_dashboard", argc, argv, 2);
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -75,11 +68,11 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (flag == "--out") {
-            out_path = need_value(i);
+            out_path = args.value(i);
         } else if (flag == "--baseline") {
-            baseline_dir = need_value(i);
+            baseline_dir = args.value(i);
         } else if (flag == "--title") {
-            options.title = need_value(i);
+            options.title = args.value(i);
         } else if (!flag.empty() && flag[0] == '-') {
             std::fprintf(stderr,
                          "cachecraft_dashboard: unknown flag %s\n",

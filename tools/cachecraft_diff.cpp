@@ -17,14 +17,18 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/report_set.hpp"
+
+#include "tool_args.hpp"
 
 using namespace cachecraft;
 namespace fs = std::filesystem;
@@ -97,14 +101,7 @@ main(int argc, char **argv)
     std::string json_out;
     bool changed_only = true;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "cachecraft_diff: flag %s needs a value\n",
-                         argv[i]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
+    const ToolArgs args("cachecraft_diff", argc, argv, 2);
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -112,25 +109,24 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (flag == "--tol") {
-            tol.defaultRel = std::stod(need_value(i));
+            tol.defaultRel = args.real(i);
         } else if (flag == "--tol-metric") {
-            const std::string spec = need_value(i);
+            const int flag_at = i;
+            const std::string spec = args.value(i);
             const std::size_t eq = spec.rfind('=');
-            if (eq == std::string::npos || eq == 0) {
-                std::fprintf(stderr,
-                             "cachecraft_diff: --tol-metric wants "
-                             "PREFIX=TOL, got %s\n",
-                             spec.c_str());
-                return 2;
-            }
-            tol.perPrefix.emplace_back(spec.substr(0, eq),
-                                       std::stod(spec.substr(eq + 1)));
+            std::optional<double> rel;
+            if (eq != std::string::npos && eq > 0)
+                rel = parseNonNegativeReal(
+                    std::string_view(spec).substr(eq + 1));
+            if (!rel)
+                args.fail(flag_at, "wants PREFIX=TOL, got " + spec);
+            tol.perPrefix.emplace_back(spec.substr(0, eq), *rel);
         } else if (flag == "--ignore") {
-            ignore.push_back(need_value(i));
+            ignore.push_back(args.value(i));
         } else if (flag == "--all") {
             changed_only = false;
         } else if (flag == "--json") {
-            json_out = need_value(i);
+            json_out = args.value(i);
         } else if (!flag.empty() && flag[0] == '-') {
             std::fprintf(stderr, "cachecraft_diff: unknown flag %s\n",
                          flag.c_str());

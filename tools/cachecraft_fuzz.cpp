@@ -33,6 +33,8 @@
 #include "protect/scheme.hpp"
 #include "verify/fuzz.hpp"
 
+#include "tool_args.hpp"
+
 using namespace cachecraft;
 namespace fs = std::filesystem;
 
@@ -128,14 +130,7 @@ main(int argc, char **argv)
     bool minimize = true;
     bool quiet = false;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "cachecraft_fuzz: flag %s needs a value\n",
-                         argv[i]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
+    const ToolArgs args("cachecraft_fuzz", argc, argv, 2);
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -143,21 +138,21 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (flag == "--seeds") {
-            seeds = std::strtoull(need_value(i), nullptr, 10);
+            seeds = args.count(i);
         } else if (flag == "--seed-base") {
-            seedBase = std::strtoull(need_value(i), nullptr, 10);
+            seedBase = args.count(i);
         } else if (flag == "--scheme") {
-            schemeArg = need_value(i);
+            schemeArg = args.value(i);
         } else if (flag == "--plant") {
-            plantArg = need_value(i);
+            plantArg = args.value(i);
         } else if (flag == "--out") {
-            outDir = need_value(i);
+            outDir = args.value(i);
         } else if (flag == "--no-minimize") {
             minimize = false;
         } else if (flag == "--replay") {
-            replayPath = need_value(i);
+            replayPath = args.value(i);
         } else if (flag == "--flight") {
-            flightPath = need_value(i);
+            flightPath = args.value(i);
         } else if (flag == "--quiet") {
             quiet = true;
         } else {

@@ -37,6 +37,8 @@
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/report.hpp"
 
+#include "tool_args.hpp"
+
 using namespace cachecraft;
 
 namespace {
@@ -182,67 +184,58 @@ main(int argc, char **argv)
     bool counters = true;
     bool quiet = false;
 
+    const ToolArgs args("cachecraft_hostprof", argc, argv, 1);
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        auto need_value = [&](int &idx) -> std::string {
-            if (idx + 1 >= argc)
-                fatal(flag + " needs a value");
-            return argv[++idx];
-        };
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--workload") {
-            const std::string name = need_value(i);
+            const std::string name = args.value(i);
             const auto kind = parseWorkload(name);
             if (!kind)
                 fatal("unknown workload: " + name);
             workload = *kind;
         } else if (flag == "--footprint-mib") {
-            wparams.footprintBytes =
-                std::stoull(need_value(i)) * 1024 * 1024;
+            wparams.footprintBytes = args.bytes(i, 1024 * 1024);
         } else if (flag == "--warps") {
-            wparams.numWarps =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            wparams.numWarps = args.count<unsigned>(i);
         } else if (flag == "--mem-insts") {
-            wparams.memInstsPerWarp =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            wparams.memInstsPerWarp = args.count<unsigned>(i);
         } else if (flag == "--seed") {
-            wparams.seed = std::stoull(need_value(i));
+            wparams.seed = args.count(i);
         } else if (flag == "--scheme") {
-            const std::string name = need_value(i);
+            const std::string name = args.value(i);
             const auto kind = parseScheme(name);
             if (!kind)
                 fatal("unknown scheme: " + name);
             config.scheme = *kind;
         } else if (flag == "--codec") {
-            const std::string name = need_value(i);
+            const std::string name = args.value(i);
             const auto kind = parseCodec(name);
             if (!kind)
                 fatal("unknown codec: " + name);
             config.codec = *kind;
         } else if (flag == "--sms") {
-            config.numSms =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            config.numSms = args.count<unsigned>(i);
         } else if (flag == "--l2-kib") {
-            config.l2.cache.sizeBytes =
-                std::stoull(need_value(i)) * 1024;
+            config.l2.cache.sizeBytes = args.bytes(i, 1024);
         } else if (flag == "--mrc-kib") {
-            config.mrc.sizeBytes = std::stoull(need_value(i)) * 1024;
+            config.mrc.sizeBytes = args.bytes(i, 1024);
         } else if (flag == "--campaign") {
-            campaign_path = need_value(i);
+            campaign_path = args.value(i);
         } else if (flag == "--out") {
-            out_dir = need_value(i);
+            out_dir = args.value(i);
         } else if (flag == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(need_value(i)));
+            jobs = args.count<unsigned>(i);
             if (jobs == 0)
                 fatal("--jobs must be positive");
         } else if (flag == "--json") {
-            json_path = need_value(i);
+            json_path = args.value(i);
         } else if (flag == "--folded") {
-            folded_path = need_value(i);
+            folded_path = args.value(i);
         } else if (flag == "--svg") {
-            svg_path = need_value(i);
+            svg_path = args.value(i);
         } else if (flag == "--no-counters") {
             counters = false;
         } else if (flag == "--quiet") {

@@ -28,6 +28,8 @@
 #include "telemetry/options.hpp"
 #include "workloads/trace_io.hpp"
 
+#include "tool_args.hpp"
+
 using namespace cachecraft;
 
 namespace {
@@ -75,10 +77,6 @@ usage()
         "telemetry:\n"
         "  --sample-interval N sample stat deltas every N cycles\n"
         "  --epochs-csv FILE   write the epoch series as CSV\n"
-        "  --trace-json FILE   record the memory-request lifecycle and\n"
-        "                      write Chrome trace_event JSON (open in\n"
-        "                      chrome://tracing or Perfetto)\n"
-        "  --trace-capacity N  trace ring size in events (65536)\n"
         "  --profile           enable the cycle-attribution profiler\n"
         "                      (stall reasons, occupancy, hot rows;\n"
         "                      adds a \"profile\" report section)\n"
@@ -88,7 +86,8 @@ usage()
         "                      report (manifest + config + stats)\n"
         "  --flight-record FILE enable the binary flight recorder and\n"
         "                      write its dump (analyze with\n"
-        "                      cachecraft_trace); adds a\n"
+        "                      cachecraft_trace, which also exports\n"
+        "                      Chrome/Perfetto JSON); adds a\n"
         "                      \"critical_path\" report section\n"
         "  --flight-capacity N flight ring size in records (1048576)\n"
         "  --reuse-profile     enable one-pass reuse-distance\n"
@@ -176,7 +175,6 @@ main(int argc, char **argv)
     std::string trace_path;
     std::string dump_path;
     std::string csv_path;
-    std::string trace_json_path;
     std::string report_json_path;
     std::string epochs_csv_path;
     std::string flight_path;
@@ -187,11 +185,7 @@ main(int argc, char **argv)
     bool quiet = false;
     bool list_stats = false;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal(strCat("flag ", argv[i], " needs a value"));
-        return argv[++i];
-    };
+    const ToolArgs args("cachecraft_sim", argc, argv, 1);
 
     // Telemetry flags funnel through the shared knob parser (the same
     // one campaign specs use), so the two surfaces cannot drift on
@@ -210,40 +204,35 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (flag == "--workload") {
-            workload = parseWorkload(need_value(i));
+            workload = parseWorkload(args.value(i));
             if (!workload)
                 fatal("unknown workload");
         } else if (flag == "--trace") {
-            trace_path = need_value(i);
+            trace_path = args.value(i);
         } else if (flag == "--footprint-mib") {
-            wparams.footprintBytes =
-                std::stoull(need_value(i)) * 1024 * 1024;
+            wparams.footprintBytes = args.bytes(i, 1024 * 1024);
         } else if (flag == "--warps") {
-            wparams.numWarps =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            wparams.numWarps = args.count<unsigned>(i);
         } else if (flag == "--mem-insts") {
-            wparams.memInstsPerWarp =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            wparams.memInstsPerWarp = args.count<unsigned>(i);
         } else if (flag == "--seed") {
-            wparams.seed = std::stoull(need_value(i));
+            wparams.seed = args.count(i);
         } else if (flag == "--scheme") {
-            const auto scheme = parseScheme(need_value(i));
+            const auto scheme = parseScheme(args.value(i));
             if (!scheme)
                 fatal("unknown scheme");
             config.scheme = *scheme;
         } else if (flag == "--codec") {
-            const auto codec = parseCodec(need_value(i));
+            const auto codec = parseCodec(args.value(i));
             if (!codec)
                 fatal("unknown codec");
             config.codec = *codec;
         } else if (flag == "--sms") {
-            config.numSms =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            config.numSms = args.count<unsigned>(i);
         } else if (flag == "--l2-kib") {
-            config.l2.cache.sizeBytes =
-                std::stoull(need_value(i)) * 1024;
+            config.l2.cache.sizeBytes = args.bytes(i, 1024);
         } else if (flag == "--mrc-kib") {
-            config.mrc.sizeBytes = std::stoull(need_value(i)) * 1024;
+            config.mrc.sizeBytes = args.bytes(i, 1024);
         } else if (flag == "--no-r1") {
             config.mrc.chunkGranularity = false;
         } else if (flag == "--no-r2") {
@@ -255,53 +244,47 @@ main(int argc, char **argv)
         } else if (flag == "--l2-whole-line") {
             config.l2.fetchWholeLine = true;
         } else if (flag == "--dump-trace") {
-            dump_path = need_value(i);
+            dump_path = args.value(i);
         } else if (flag == "--list-stats") {
             list_stats = true;
         } else if (flag == "--stats-csv") {
-            csv_path = need_value(i);
+            csv_path = args.value(i);
         } else if (flag == "--sample-interval") {
             telemetry_knob("--sample-interval", "sample_interval",
-                           need_value(i));
+                           args.value(i));
         } else if (flag == "--epochs-csv") {
-            epochs_csv_path = need_value(i);
-        } else if (flag == "--trace-json") {
-            trace_json_path = need_value(i);
-            config.telemetry.traceEnabled = true;
-        } else if (flag == "--trace-capacity") {
-            telemetry_knob("--trace-capacity", "trace_capacity",
-                           need_value(i));
+            epochs_csv_path = args.value(i);
         } else if (flag == "--profile") {
             telemetry_knob("--profile", "profile", "true");
         } else if (flag == "--profile-interval") {
             telemetry_knob("--profile-interval", "profile_interval",
-                           need_value(i));
+                           args.value(i));
         } else if (flag == "--report-json") {
-            report_json_path = need_value(i);
+            report_json_path = args.value(i);
         } else if (flag == "--flight-record") {
-            flight_path = need_value(i);
+            flight_path = args.value(i);
             telemetry_knob("--flight-record", "flight_recorder", "true");
         } else if (flag == "--flight-capacity") {
             telemetry_knob("--flight-capacity", "flight_capacity",
-                           need_value(i));
+                           args.value(i));
         } else if (flag == "--reuse-profile") {
             telemetry_knob("--reuse-profile", "reuse_profile", "true");
         } else if (flag == "--reuse-max-assoc") {
             telemetry_knob("--reuse-max-assoc", "reuse_max_assoc",
-                           need_value(i));
+                           args.value(i));
         } else if (flag == "--host-profile") {
-            host_profile_path = need_value(i);
+            host_profile_path = args.value(i);
             telemetry_knob("--host-profile", "host_profile", "true");
         } else if (flag == "--progress") {
-            progress_interval = std::stoull(need_value(i));
+            progress_interval = args.count(i);
             if (progress_interval == 0)
                 fatal("--progress must be positive");
         } else if (flag == "--shards") {
-            shards = static_cast<unsigned>(std::stoul(need_value(i)));
+            shards = args.count<unsigned>(i);
             if (shards == 0)
                 fatal("--shards must be positive");
         } else if (flag == "--log-level") {
-            const auto level = parseLogLevel(need_value(i));
+            const auto level = parseLogLevel(args.value(i));
             if (!level)
                 fatal("unknown log level (see --help)");
             setLogLevel(*level);
@@ -348,9 +331,6 @@ main(int argc, char **argv)
 
     if (!epochs_csv_path.empty() && config.telemetry.sampleInterval == 0)
         fatal("--epochs-csv needs --sample-interval");
-    if (!trace_json_path.empty() && !telemetry::kTraceCompiledIn)
-        warn("tracing was compiled out (CACHECRAFT_DISABLE_TRACING); "
-             "the trace will be empty");
     if (config.telemetry.profileEnabled && !telemetry::kTraceCompiledIn)
         warn("tracing was compiled out (CACHECRAFT_DISABLE_TRACING); "
              "--profile has no effect");
@@ -366,8 +346,8 @@ main(int argc, char **argv)
              "the host profile will be empty");
     // Fail on unwritable output paths now, not after a long run.
     for (const std::string &path :
-         {epochs_csv_path, trace_json_path, report_json_path,
-          flight_path, host_profile_path}) {
+         {epochs_csv_path, report_json_path, flight_path,
+          host_profile_path}) {
         if (path.empty())
             continue;
         std::ofstream probe(path, std::ios::app);
@@ -484,18 +464,6 @@ main(int argc, char **argv)
         out << gpu.sampler()->renderCsv();
         std::printf("wrote %s (%zu epochs)\n", epochs_csv_path.c_str(),
                     gpu.sampler()->epochs().size());
-    }
-
-    if (!trace_json_path.empty()) {
-        std::ofstream out(trace_json_path);
-        if (!out)
-            fatal("cannot write " + trace_json_path);
-        gpu.telemetry().writeChromeJson(out);
-        const auto *sink = gpu.telemetry().sink();
-        std::printf("wrote %s (%zu events, %llu dropped)\n",
-                    trace_json_path.c_str(), sink ? sink->size() : 0,
-                    static_cast<unsigned long long>(
-                        sink ? sink->dropped() : 0));
     }
 
     if (!flight_path.empty()) {

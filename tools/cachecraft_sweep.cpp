@@ -25,6 +25,8 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 
+#include "tool_args.hpp"
+
 using namespace cachecraft;
 
 namespace {
@@ -70,15 +72,7 @@ main(int argc, char **argv)
     campaign::RunnerOptions options;
     bool dry_run = false;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr,
-                         "cachecraft_sweep: flag %s needs a value\n",
-                         argv[i]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
+    const ToolArgs args("cachecraft_sweep", argc, argv, 2);
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -86,26 +80,24 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (flag == "--out") {
-            options.outDir = need_value(i);
+            options.outDir = args.value(i);
         } else if (flag == "--jobs") {
-            options.jobs =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            options.jobs = args.count<unsigned>(i);
         } else if (flag == "--shards") {
-            options.shards =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+            options.shards = args.count<unsigned>(i);
             if (options.shards == 0) {
                 std::fprintf(stderr, "cachecraft_sweep: --shards "
                                      "must be positive\n");
                 return 2;
             }
         } else if (flag == "--point-timeout") {
-            options.pointTimeoutSeconds = std::stod(need_value(i));
+            options.pointTimeoutSeconds = args.real(i);
         } else if (flag == "--dry-run") {
             dry_run = true;
         } else if (flag == "--quiet") {
             options.progress = nullptr;
         } else if (flag == "--progress") {
-            options.heartbeatSeconds = std::stod(need_value(i));
+            options.heartbeatSeconds = args.real(i);
             if (options.heartbeatSeconds <= 0.0) {
                 std::fprintf(stderr,
                              "cachecraft_sweep: --progress wants a "

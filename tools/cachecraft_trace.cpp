@@ -31,6 +31,8 @@
 #include "telemetry/critical_path.hpp"
 #include "telemetry/flight_recorder.hpp"
 
+#include "tool_args.hpp"
+
 using namespace cachecraft;
 
 namespace {
@@ -145,11 +147,7 @@ main(int argc, char **argv)
     std::size_t top_k = 10;
     bool quiet = false;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal(strCat("flag ", argv[i], " needs a value"));
-        return argv[++i];
-    };
+    const ToolArgs args("cachecraft_trace", argc, argv, 1);
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
@@ -157,11 +155,11 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (flag == "--json") {
-            json_path = need_value(i);
+            json_path = args.value(i);
         } else if (flag == "--chrome") {
-            chrome_path = need_value(i);
+            chrome_path = args.value(i);
         } else if (flag == "--top") {
-            top_k = std::stoull(need_value(i));
+            top_k = args.count<std::size_t>(i);
         } else if (flag == "--quiet") {
             quiet = true;
         } else if (!flag.empty() && flag[0] == '-') {
