@@ -24,8 +24,10 @@
 #ifndef CACHECRAFT_COMMON_DOMAIN_HPP
 #define CACHECRAFT_COMMON_DOMAIN_HPP
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -56,6 +58,50 @@ struct StagedKey
 
     auto operator<=>(const StagedKey &) const = default;
 };
+
+/**
+ * One source domain's staging lane. Every lane sits on its own cache
+ * lines, so domains staging concurrently never write a shared line.
+ */
+template <class T>
+struct alignas(64) StagedLane
+{
+    std::vector<T> items;
+};
+
+/** Leader-only: true if any lane holds a staged item. */
+template <class T>
+bool
+anyStaged(const std::vector<StagedLane<T>> &lanes)
+{
+    return std::any_of(lanes.begin(), lanes.end(),
+                       [](const StagedLane<T> &l) { return !l.items.empty(); });
+}
+
+/**
+ * Leader-only canonical merge: call apply(item, key) for every staged
+ * item in StagedKey order, where cycle_of(item) is the key's cycle,
+ * then empty the lanes. @p order is reusable sort scratch.
+ */
+template <class T, class CycleOf, class Apply>
+void
+applyStagedInOrder(std::vector<StagedLane<T>> &lanes,
+                   std::vector<StagedKey> &order, CycleOf cycle_of,
+                   Apply apply)
+{
+    order.clear();
+    for (std::uint32_t d = 0; d < lanes.size(); ++d) {
+        for (std::uint32_t i = 0; i < lanes[d].items.size(); ++i)
+            order.push_back(StagedKey{cycle_of(lanes[d].items[i]), d, i});
+    }
+    if (order.empty())
+        return;
+    std::sort(order.begin(), order.end());
+    for (const StagedKey &r : order)
+        apply(lanes[r.domain].items[r.index], r);
+    for (auto &lane : lanes)
+        lane.items.clear();
+}
 
 /** RAII: enter a domain for the current scope (nestable, restoring). */
 class ScopedSimDomain

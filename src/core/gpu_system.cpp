@@ -151,9 +151,8 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
             // order — deterministic at any --shards, and always before
             // the slice can observe the stored data (the write message
             // itself crosses the barrier later than the commit).
-            storeStage_[s].push_back(
+            storeStage_[s].items.push_back(
                 StagedStore{addr, smQueue(s).now()});
-            stagedStores_.fetch_add(1, std::memory_order_relaxed);
             const SliceId slice = sliceOf(addr);
             reqXbar_->send(slice, [this, slice, addr, tag] {
                 slices_[slice]->write(addr, tag);
@@ -259,30 +258,22 @@ GpuSystem::globalNow() const
 bool
 GpuSystem::anyStagedStores() const
 {
-    return stagedStores_.load(std::memory_order_relaxed) != 0;
+    return anyStaged(storeStage_);
 }
 
 void
 GpuSystem::applyStagedStores()
 {
-    if (!anyStagedStores())
-        return;
     // Write-generation bumps must happen in a canonical order — two SMs
     // storing to the same sector in one epoch race otherwise — so the
     // leader commits every staged store sorted by (issue cycle, source
     // domain, lane index), identical at any --shards value.
-    storeOrder_.clear();
-    for (std::uint32_t d = 0; d < storeStage_.size(); ++d) {
-        for (std::uint32_t i = 0; i < storeStage_[d].size(); ++i)
-            storeOrder_.push_back(
-                StagedKey{storeStage_[d][i].cycle, d, i});
-    }
-    std::sort(storeOrder_.begin(), storeOrder_.end());
-    for (const StagedKey &r : storeOrder_)
-        onStore(storeStage_[r.domain][r.index].addr);
-    for (auto &lane : storeStage_)
-        lane.clear();
-    stagedStores_.store(0, std::memory_order_relaxed);
+    applyStagedInOrder(
+        storeStage_, storeOrder_,
+        [](const StagedStore &s) { return s.cycle; },
+        [this](const StagedStore &s, const StagedKey &) {
+            onStore(s.addr);
+        });
 }
 
 ecc::SectorData
@@ -392,12 +383,10 @@ GpuSystem::run(const KernelTrace &trace)
     // the sampler/profiler/progress heartbeat stays timing-neutral.
     const Cycle epoch = std::max<Cycle>(1, config_.xbarLatency);
     constexpr Cycle kNever = EventQueue::kNoEventCycle;
-    const unsigned threads =
-        std::min<unsigned>(std::max(1u, shards_), numDomains_);
-    ShardPool pool(threads);
+    ShardPool pool(std::min<unsigned>(std::max(1u, shards_), numDomains_));
     verify::Listener *raw_listener = verify::activeListener();
     std::optional<SerializedListener> serialized;
-    if (threads > 1 && raw_listener) {
+    if (pool.threads() > 1 && raw_listener) {
         serialized.emplace(raw_listener);
         pool.setListener(&*serialized);
     }
@@ -408,15 +397,19 @@ GpuSystem::run(const KernelTrace &trace)
 
     std::vector<std::uint32_t> runnable;
     std::vector<Cycle> next_at(numDomains_, kNever);
-    std::vector<std::uint8_t> ok(numDomains_, 1);
+    // Per-domain result flags, one cache line each: domains on
+    // different threads write them concurrently.
+    struct alignas(64) DomainOk
+    {
+        bool ok = true;
+    };
+    std::vector<DomainOk> ok(numDomains_);
     Cycle limit = 0;
-    ShardPool::TaskFn epoch_task = [this, &runnable, &ok,
-                                    &limit](std::size_t i) {
-        const std::uint32_t d = runnable[i];
+    ShardPool::TaskFn epoch_task = [this, &ok, &limit](std::uint32_t d) {
         ScopedSimDomain scope(static_cast<std::int32_t>(d),
                               queues_[d].get());
         CC_HOST_ZONE("shard.run_epoch");
-        ok[d] = queues_[d]->runUntil(limit) ? 1 : 0;
+        ok[d].ok = queues_[d]->runUntil(limit);
     };
     Cycle close_floor = 0;
     auto close_sampler = [this, &close_floor](Cycle at) {
@@ -471,9 +464,9 @@ GpuSystem::run(const KernelTrace &trace)
                 if (next_at[d] <= limit)
                     runnable.push_back(d);
             }
-            pool.run(runnable.size(), epoch_task);
+            pool.run(runnable, epoch_task);
             for (const std::uint32_t d : runnable) {
-                if (!ok[d])
+                if (!ok[d].ok)
                     panic(what);
             }
 

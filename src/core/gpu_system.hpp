@@ -14,7 +14,6 @@
 #ifndef CACHECRAFT_CORE_GPU_SYSTEM_HPP
 #define CACHECRAFT_CORE_GPU_SYSTEM_HPP
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
@@ -315,9 +314,7 @@ class GpuSystem
     std::vector<TaggedRegion> regions_;
     FaultIndex faultIndex_;
     std::map<Addr, std::uint64_t> writeGeneration_;
-    std::vector<std::vector<StagedStore>> storeStage_; //!< per SM domain
-    /** Stores in storeStage_; SM domains add concurrently. */
-    std::atomic<std::size_t> stagedStores_{0};
+    std::vector<StagedLane<StagedStore>> storeStage_; //!< per SM domain
     std::vector<StagedKey> storeOrder_; //!< applyStagedStores scratch
     bool initialized_ = false;
     bool ran_ = false;

@@ -5,12 +5,13 @@
  * A sharded run executes its fixed domain decomposition (one domain
  * per SM, one per L2-slice/DRAM-channel pair; see core/gpu_system.cpp)
  * epoch by epoch: the leader publishes one task per runnable domain,
- * the pool's threads drain their round-robin share of domains up to
- * the epoch boundary, and everyone meets at a barrier where the leader
- * does the (serial, canonical) cross-domain work. Task-to-thread
- * assignment is by task *index*, never by arrival order, so the work a
- * thread performs — though not its interleaving with other threads —
- * is the same every run. Determinism never depends on this pool: all
+ * each domain is drained up to the epoch boundary by the thread it is
+ * pinned to (domain d on thread d % threads), and everyone meets at a
+ * barrier where the leader does the (serial, canonical) cross-domain
+ * work. Domain-to-thread assignment is by domain *id*, never by
+ * arrival order or by the runnable set, so the work a thread performs
+ * — though not its interleaving with other threads — is the same
+ * every run. Determinism never depends on this pool: all
  * cross-domain communication flows through canonically ordered barrier
  * merges (crossbar router, store staging, profiler stall staging).
  *
@@ -21,14 +22,15 @@
 #ifndef CACHECRAFT_CORE_SHARD_EXEC_HPP
 #define CACHECRAFT_CORE_SHARD_EXEC_HPP
 
-#include <condition_variable>
-#include <cstddef>
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "telemetry/host_profiler.hpp"
 #include "verify/verify.hpp"
 
 namespace cachecraft {
@@ -121,21 +123,33 @@ class SerializedListener final : public verify::Listener
 };
 
 /**
- * Persistent fork/join pool for epoch execution. The owning thread
- * calls run() once per epoch; it participates as worker 0 while
- * threads-1 helpers take the remaining round-robin shares, and run()
- * returns only after every task finished (the epoch barrier's entry
- * edge). Construction spawns the helpers once; per-epoch cost is one
- * condition-variable broadcast and one countdown.
+ * Persistent fork/join pool for epoch execution, with static domain
+ * affinity. The owning thread (the leader) calls run() once per epoch
+ * with the runnable domain ids; domain d always executes on thread
+ * d % threads(), the leader being thread 0, so a domain's queue, arena
+ * and staging lanes stay in one core's cache however the runnable set
+ * changes. run() returns only after every domain finished (the epoch
+ * barrier's entry edge).
+ *
+ * An epoch is about twenty events, far shorter than a futex sleep and
+ * wake, so the handoff spins first: the leader publishes an epoch by
+ * bumping an atomic generation word; helpers spin on it for a short
+ * bounded budget before blocking in std::atomic::wait, and the leader
+ * calls notify only when some helper is blocked, so a busy run makes
+ * no system call per epoch. Each helper counts an atomic countdown
+ * down when its share is done; the leader spins on it, then yields.
+ * The thread count is clamped to the hardware thread count, because a
+ * spinning handoff on an oversubscribed machine waits for descheduled
+ * threads.
  */
 class ShardPool
 {
   public:
-    /** Task @p i of the current epoch (i indexes runnable domains). */
-    using TaskFn = std::function<void(std::size_t)>;
+    /** Drain domain @p d of the current epoch. */
+    using TaskFn = std::function<void(std::uint32_t)>;
 
     explicit ShardPool(unsigned threads)
-        : threads_(threads < 1 ? 1 : threads)
+        : threads_(std::clamp(threads, 1u, hardwareThreads()))
     {
         workers_.reserve(threads_ - 1);
         for (unsigned w = 1; w < threads_; ++w)
@@ -147,12 +161,9 @@ class ShardPool
 
     ~ShardPool()
     {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-            ++generation_;
-        }
-        startCv_.notify_all();
+        stop_ = true;
+        generation_.value.fetch_add(1, std::memory_order_seq_cst);
+        generation_.value.notify_all();
         for (auto &t : workers_)
             t.join();
     }
@@ -167,80 +178,134 @@ class ShardPool
     void setListener(verify::Listener *listener) { listener_ = listener; }
 
     /**
-     * Execute fn(0) .. fn(num_tasks-1), task i on thread i % threads().
-     * Blocks until all tasks completed. @p fn must stay alive for the
-     * whole call (it is shared by reference, so hoist the std::function
-     * out of per-epoch loops to avoid re-allocation).
+     * Execute fn(d) for every d in @p domains, domain d on thread
+     * d % threads(). Blocks until all tasks completed. @p domains and
+     * @p fn must stay unchanged for the whole call. An epoch with a
+     * single domain, or with none on a helper thread, runs inline on
+     * the leader without waking the helpers.
      */
     void
-    run(std::size_t num_tasks, const TaskFn &fn)
+    run(const std::vector<std::uint32_t> &domains, const TaskFn &fn)
     {
-        if (threads_ == 1 || num_tasks <= 1) {
-            for (std::size_t i = 0; i < num_tasks; ++i)
-                fn(i);
+        const bool helpers_busy =
+            threads_ > 1 && domains.size() > 1 &&
+            std::any_of(domains.begin(), domains.end(),
+                        [this](std::uint32_t d) { return d % threads_; });
+        if (!helpers_busy) {
+            for (const std::uint32_t d : domains)
+                fn(d);
             return;
         }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            fn_ = &fn;
-            numTasks_ = num_tasks;
-            active_ = threads_ - 1;
-            ++generation_;
+        fn_ = &fn;
+        domains_ = &domains;
+        pending_.value.store(threads_ - 1, std::memory_order_relaxed);
+        // seq_cst pairs with the helper's sleepers_ increment: either
+        // the leader sees the sleeper and notifies, or the sleeper's
+        // recheck sees the new generation.
+        generation_.value.fetch_add(1, std::memory_order_seq_cst);
+        if (sleepers_.value.load(std::memory_order_seq_cst) != 0)
+            generation_.value.notify_all();
+        runShare(0, domains, fn);
+        CC_HOST_ZONE("shard.wait");
+        for (unsigned spin = 0;
+             pending_.value.load(std::memory_order_acquire) != 0; ++spin) {
+            if (spin < kSpinBudget)
+                cpuRelax();
+            else
+                std::this_thread::yield();
         }
-        startCv_.notify_all();
-        runShare(0, num_tasks, fn);
-        std::unique_lock<std::mutex> lock(mutex_);
-        doneCv_.wait(lock, [this] { return active_ == 0; });
     }
 
   private:
-    void
-    runShare(std::size_t worker, std::size_t num_tasks, const TaskFn &fn)
+    /** Handoff spin iterations before blocking (helpers) or yielding
+     *  (leader): ~5 us at ~20 ns per pause, a few epochs' worth of
+     *  work. Longer spins keep descheduled threads of an
+     *  oversubscribed machine waiting for the spinners' cores (2048
+     *  iterations ran two concurrent 4-shard runs on 4 cores ~1.8x
+     *  slower than blocking at once). */
+    static constexpr unsigned kSpinBudget = 256;
+
+    /** An atomic alone on its cache line. */
+    template <class T>
+    struct alignas(64) Padded
     {
-        for (std::size_t i = worker; i < num_tasks; i += threads_)
-            fn(i);
+        std::atomic<T> value{0};
+    };
+
+    static unsigned
+    hardwareThreads()
+    {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw ? hw : 1;
+    }
+
+    static void
+    cpuRelax()
+    {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#elif defined(__aarch64__)
+        asm volatile("yield");
+#endif
+    }
+
+    void
+    runShare(unsigned worker, const std::vector<std::uint32_t> &domains,
+             const TaskFn &fn) const
+    {
+        for (const std::uint32_t d : domains) {
+            if (d % threads_ == worker)
+                fn(d);
+        }
+    }
+
+    /** Wait for the generation to move past @p seen; returns it. */
+    std::uint32_t
+    awaitGeneration(std::uint32_t seen)
+    {
+        for (unsigned spin = 0; spin < kSpinBudget; ++spin) {
+            const std::uint32_t gen =
+                generation_.value.load(std::memory_order_acquire);
+            if (gen != seen)
+                return gen;
+            cpuRelax();
+        }
+        sleepers_.value.fetch_add(1, std::memory_order_seq_cst);
+        std::uint32_t gen;
+        while ((gen = generation_.value.load(std::memory_order_seq_cst)) ==
+               seen)
+            generation_.value.wait(seen, std::memory_order_seq_cst);
+        sleepers_.value.fetch_sub(1, std::memory_order_relaxed);
+        return gen;
     }
 
     void
     workerLoop(unsigned worker)
     {
-        std::uint64_t seen = 0;
+        std::uint32_t seen = 0;
         while (true) {
-            const TaskFn *fn = nullptr;
-            std::size_t num_tasks = 0;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                startCv_.wait(lock,
-                              [this, seen] { return generation_ != seen; });
-                seen = generation_;
-                if (stop_)
-                    return;
-                fn = fn_;
-                num_tasks = numTasks_;
-            }
+            seen = awaitGeneration(seen);
+            if (stop_)
+                return;
             {
                 verify::ScopedListener scoped(listener_);
-                runShare(worker, num_tasks, *fn);
+                runShare(worker, *domains_, *fn_);
             }
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (--active_ == 0)
-                    doneCv_.notify_one();
-            }
+            pending_.value.fetch_sub(1, std::memory_order_acq_rel);
         }
     }
 
     unsigned threads_;
     verify::Listener *listener_ = nullptr;
-    std::vector<std::thread> workers_;
-    std::mutex mutex_;
-    std::condition_variable startCv_;
-    std::condition_variable doneCv_;
+    // Published by the leader before each generation bump, read by the
+    // helpers after seeing it; unchanged until the countdown hits zero.
     const TaskFn *fn_ = nullptr;
-    std::size_t numTasks_ = 0;
-    unsigned active_ = 0;
-    std::uint64_t generation_ = 0;
+    const std::vector<std::uint32_t> *domains_ = nullptr;
     bool stop_ = false;
+    Padded<std::uint32_t> generation_;
+    Padded<unsigned> pending_;   //!< helpers still running this epoch
+    Padded<unsigned> sleepers_;  //!< helpers blocked in wait()
+    std::vector<std::thread> workers_; //!< last: joined before the rest
 };
 
 } // namespace cachecraft

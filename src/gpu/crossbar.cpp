@@ -79,34 +79,23 @@ Crossbar::send(unsigned port, SmallFn fn, std::uint64_t trace_id,
     if (tlsSimDomain < 0 ||
         static_cast<std::size_t>(tlsSimDomain) >= staged_.size())
         panic("router-mode crossbar send outside a shard domain");
-    staged_[static_cast<std::size_t>(tlsSimDomain)].push_back(
+    staged_[static_cast<std::size_t>(tlsSimDomain)].items.push_back(
         Staged{std::move(fn), tlsSimQueue->now(), trace_id, port,
                response});
-    stagedCount_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
 Crossbar::applyStaged()
 {
-    if (stagedCount_.load(std::memory_order_relaxed) == 0)
-        return;
     // Canonical merge: (send cycle, source domain, source seq). Within
     // one lane entries are already in send order, so the sort key is a
     // total order over all staged messages.
-    order_.clear();
-    for (std::uint32_t d = 0; d < staged_.size(); ++d) {
-        for (std::uint32_t i = 0; i < staged_[d].size(); ++i)
-            order_.push_back(StagedKey{staged_[d][i].sent, d, i});
-    }
-    std::sort(order_.begin(), order_.end());
-    for (const StagedKey &r : order_) {
-        Staged &m = staged_[r.domain][r.index];
-        arbitrate(m.port, m.sent, m.traceId, m.response, std::move(m.fn),
-                  r.domain, r.index);
-    }
-    for (auto &lane : staged_)
-        lane.clear();
-    stagedCount_.store(0, std::memory_order_relaxed);
+    applyStagedInOrder(
+        staged_, order_, [](const Staged &m) { return m.sent; },
+        [this](Staged &m, const StagedKey &r) {
+            arbitrate(m.port, m.sent, m.traceId, m.response,
+                      std::move(m.fn), r.domain, r.index);
+        });
 }
 
 Cycle

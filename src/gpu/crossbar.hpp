@@ -29,7 +29,6 @@
 #ifndef CACHECRAFT_GPU_CROSSBAR_HPP
 #define CACHECRAFT_GPU_CROSSBAR_HPP
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -86,11 +85,7 @@ class Crossbar
     void applyStaged();
 
     /** Router mode: any messages staged since the last applyStaged(). */
-    bool
-    hasStaged() const
-    {
-        return stagedCount_.load(std::memory_order_relaxed) != 0;
-    }
+    bool hasStaged() const { return anyStaged(staged_); }
 
     /**
      * Deepest per-port backlog at cycle @p now, in flits (how far the
@@ -124,9 +119,7 @@ class Crossbar
     telemetry::Telemetry *telemetry_;
     std::vector<Cycle> portFreeAt_;
     std::vector<EventQueue *> portQueues_;   //!< empty = immediate mode
-    std::vector<std::vector<Staged>> staged_; //!< per source domain
-    /** Messages in staged_; sending domains add concurrently. */
-    std::atomic<std::size_t> stagedCount_{0};
+    std::vector<StagedLane<Staged>> staged_; //!< per source domain
     std::vector<StagedKey> order_; //!< applyStaged scratch, reused
 };
 

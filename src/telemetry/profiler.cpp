@@ -70,7 +70,7 @@ Profiler::chargeStall(StallReason reason, Cycle from, Cycle to)
         return;
     if (tlsSimDomain >= 0 &&
         static_cast<std::size_t>(tlsSimDomain) < staged_.size()) {
-        staged_[static_cast<std::size_t>(tlsSimDomain)].push_back(
+        staged_[static_cast<std::size_t>(tlsSimDomain)].items.push_back(
             StagedStall{reason, from, to});
         return;
     }
@@ -102,19 +102,11 @@ Profiler::applyStagedStalls()
     // charges apply in (from, source domain, lane index) order — the
     // same total order at any --shards value.
     std::vector<StagedKey> order;
-    for (std::uint32_t d = 0; d < staged_.size(); ++d) {
-        for (std::uint32_t i = 0; i < staged_[d].size(); ++i)
-            order.push_back(StagedKey{staged_[d][i].from, d, i});
-    }
-    if (order.empty())
-        return;
-    std::sort(order.begin(), order.end());
-    for (const StagedKey &r : order) {
-        const StagedStall &s = staged_[r.domain][r.index];
-        applyStall(s.reason, s.from, s.to);
-    }
-    for (auto &lane : staged_)
-        lane.clear();
+    applyStagedInOrder(
+        staged_, order, [](const StagedStall &s) { return s.from; },
+        [this](const StagedStall &s, const StagedKey &) {
+            applyStall(s.reason, s.from, s.to);
+        });
 }
 
 std::uint64_t

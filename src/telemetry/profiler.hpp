@@ -51,6 +51,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/domain.hpp"
 #include "common/types.hpp"
 #include "stats/stats.hpp"
 
@@ -188,7 +189,7 @@ class Profiler
     Cycle watermark_[static_cast<std::size_t>(StallReason::kCount)] = {};
     std::vector<Gauge> gauges_;
     Counter samples_;
-    std::vector<std::vector<StagedStall>> staged_; //!< per shard domain
+    std::vector<StagedLane<StagedStall>> staged_; //!< per shard domain
     std::mutex hotMutex_; //!< guards the two hot-access maps
     std::unordered_map<std::uint64_t, std::uint64_t> rowCounts_;
     std::unordered_map<std::uint64_t, std::uint64_t> sectorCounts_;

@@ -112,7 +112,10 @@ usage()
         "                      the engine always executes the same\n"
         "                      fixed domain decomposition under the\n"
         "                      same epoch-barrier schedule; this only\n"
-        "                      sets how many threads drain it\n");
+        "                      sets how many threads drain it. The\n"
+        "                      thread count is clamped to the domain\n"
+        "                      count (SMs + DRAM channels) and to the\n"
+        "                      machine's hardware threads\n");
 }
 
 std::optional<SchemeKind>
