@@ -7,23 +7,33 @@
 
 namespace cachecraft {
 
+std::string
+cacheGeometryError(const CacheParams &params)
+{
+    if (!isPow2(params.lineBytes) || !isPow2(params.sectorBytes))
+        return "cache line/sector sizes must be powers of two";
+    if (params.lineBytes % params.sectorBytes != 0)
+        return "cache line size must be a multiple of the sector size";
+    if (params.assoc == 0)
+        return "cache associativity must be positive";
+    if (params.sizeBytes % (params.lineBytes * params.assoc) != 0)
+        return "cache size must be divisible by line size * assoc";
+    if (!isPow2(params.sizeBytes / (params.lineBytes * params.assoc)))
+        return "cache must have a power-of-two number of sets";
+    if (params.lineBytes / params.sectorBytes > 8)
+        return "at most 8 sectors per line supported (SectorMask width)";
+    return {};
+}
+
 SectoredCache::SectoredCache(std::string name, const CacheParams &params,
                              StatRegistry *stats)
     : name_(std::move(name)), params_(params)
 {
-    if (!isPow2(params_.lineBytes) || !isPow2(params_.sectorBytes))
-        fatal("cache line/sector sizes must be powers of two");
-    if (params_.lineBytes % params_.sectorBytes != 0)
-        fatal("cache line size must be a multiple of the sector size");
-    if (params_.sizeBytes % (params_.lineBytes * params_.assoc) != 0)
-        fatal("cache size must be divisible by line size * assoc");
-
+    if (const std::string error = cacheGeometryError(params_);
+        !error.empty())
+        fatal(error);
     numSets_ = params_.sizeBytes / (params_.lineBytes * params_.assoc);
-    if (!isPow2(numSets_))
-        fatal("cache must have a power-of-two number of sets");
     sectorsPerLine_ = params_.lineBytes / params_.sectorBytes;
-    if (sectorsPerLine_ > 8)
-        fatal("at most 8 sectors per line supported (SectorMask width)");
 
     ways_.resize(numSets_ * params_.assoc);
     repl_ = makeReplacementPolicy(params_.repl, numSets_, params_.assoc,

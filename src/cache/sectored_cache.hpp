@@ -44,6 +44,15 @@ struct CacheParams
     std::uint64_t seed = 1;
 };
 
+/**
+ * Why @p params cannot describe a cache (power-of-two line and sector
+ * sizes, whole sets, a power-of-two set count, at most 8 sectors per
+ * line), or an empty string when the geometry is valid. The
+ * SectoredCache constructor ends the process on a non-empty result;
+ * callers taking geometry from user input check it first.
+ */
+std::string cacheGeometryError(const CacheParams &params);
+
 /** Per-sector bit mask within a line (bit i = sector i). */
 using SectorMask = std::uint8_t;
 

@@ -22,11 +22,6 @@ using telemetry::RunSummary;
 constexpr const char *kSchemeOrder[] = {"no-ecc", "inline-naive",
                                         "ecc-cache", "cachecraft"};
 
-/** Fixed stall-reason ordering (matches the profiler taxonomy). */
-constexpr const char *kStallOrder[] = {
-    "mshr_full",       "bank_conflict",        "row_miss",
-    "ecc_read_serialization", "mrc_probe_block", "crossbar_backpressure"};
-
 constexpr std::size_t kPaletteSlots = 8;
 
 /** Fixed-pattern number formatting so output is byte-stable. */
@@ -315,124 +310,6 @@ renderSpeedupChart(std::ostream &os, const std::vector<Row> &rows)
                             : fmtCount(bar.cycles))
            << "</text>\n";
         y += bar_h + bar_gap;
-    }
-    os << "</svg>\n";
-}
-
-/** Stacked stall-taxonomy bars, one per run with profile data. */
-void
-renderStallChart(std::ostream &os, const std::vector<Row> &rows)
-{
-    std::vector<const Row *> with_stalls;
-    for (const Row &row : rows) {
-        if (!row.s.stallCycles.empty())
-            with_stalls.push_back(&row);
-    }
-    if (with_stalls.empty())
-        return;
-
-    // Fixed reason -> slot assignment; unseen reasons appended sorted.
-    std::vector<std::string> reasons(std::begin(kStallOrder),
-                                     std::end(kStallOrder));
-    std::vector<std::string> extra;
-    for (const Row *row : with_stalls) {
-        for (const auto &[reason, cycles] : row->s.stallCycles) {
-            if (std::find(reasons.begin(), reasons.end(), reason) ==
-                    reasons.end() &&
-                std::find(extra.begin(), extra.end(), reason) ==
-                    extra.end())
-                extra.push_back(reason);
-        }
-    }
-    std::sort(extra.begin(), extra.end());
-    reasons.insert(reasons.end(), extra.begin(), extra.end());
-
-    auto cyclesFor = [](const Row &row, const std::string &reason) {
-        for (const auto &[name, cycles] : row.s.stallCycles) {
-            if (name == reason)
-                return cycles;
-        }
-        return 0.0;
-    };
-
-    double max_total = 0.0;
-    for (const Row *row : with_stalls) {
-        double total = 0.0;
-        for (const auto &[reason, cycles] : row->s.stallCycles)
-            total += cycles;
-        max_total = std::max(max_total, total);
-    }
-    if (max_total <= 0.0)
-        return;
-
-    std::vector<std::pair<std::string, std::size_t>> legend;
-    for (std::size_t i = 0; i < reasons.size(); ++i) {
-        for (const Row *row : with_stalls) {
-            if (cyclesFor(*row, reasons[i]) > 0.0) {
-                legend.emplace_back(reasons[i], i);
-                break;
-            }
-        }
-    }
-
-    const double gutter = 220.0;
-    const double plot_w = 480.0;
-    const double bar_h = 16.0;
-    const double row_gap = 8.0;
-    const double top = 6.0;
-    const double height =
-        top + with_stalls.size() * (bar_h + row_gap) + 4.0;
-
-    os << "<h2>Stall taxonomy</h2>\n"
-       << "<p class=\"sub\">Cycles each memory-pipeline stall reason "
-          "cost, per run (profile-enabled runs only).</p>\n";
-    renderLegend(os, legend);
-    os << "<svg class=\"chart\" viewBox=\"0 0 "
-       << fmt(gutter + plot_w + 80.0, 0) << " " << fmt(height, 0)
-       << "\" role=\"img\" aria-label=\"Stall cycles by reason\">\n";
-
-    double y = top;
-    for (const Row *row : with_stalls) {
-        os << "<text x=\"" << fmt(gutter - 10.0, 1) << "\" y=\""
-           << fmt(y + 12.0, 1)
-           << "\" class=\"rowlabel\" text-anchor=\"end\">"
-           << htmlEscape(row->label) << "</text>\n";
-        double total = 0.0;
-        for (const auto &[reason, cycles] : row->s.stallCycles)
-            total += cycles;
-        // 2px surface gaps separate segments; only the final segment
-        // gets the rounded data end.
-        std::vector<std::pair<std::size_t, double>> segments;
-        for (std::size_t i = 0; i < reasons.size(); ++i) {
-            const double cycles = cyclesFor(*row, reasons[i]);
-            if (cycles > 0.0)
-                segments.emplace_back(i, cycles);
-        }
-        double x = gutter;
-        for (std::size_t k = 0; k < segments.size(); ++k) {
-            const auto &[ri, cycles] = segments[k];
-            const double w =
-                std::max(plot_w * cycles / max_total - 2.0, 1.0);
-            const bool last = k + 1 == segments.size();
-            std::ostringstream seg;
-            if (last) {
-                seg << barPath(x, y, w, bar_h, 4.0);
-            } else {
-                seg << "<rect x=\"" << fmt(x, 1) << "\" y=\""
-                    << fmt(y, 1) << "\" width=\"" << fmt(w, 1)
-                    << "\" height=\"" << fmt(bar_h, 1) << "\"";
-            }
-            os << seg.str() << " fill=\"" << slotVar(ri) << "\"><title>"
-               << htmlEscape(row->label) << " &#183; "
-               << htmlEscape(reasons[ri]) << ": " << fmtCount(cycles)
-               << " cycles (" << fmtPct(cycles / total) << ")</title>"
-               << (last && w > 8.0 ? "</path>" : "</rect>") << "\n";
-            x += w + 2.0;
-        }
-        os << "<text x=\"" << fmt(x + 4.0, 1) << "\" y=\""
-           << fmt(y + bar_h - 3.0, 1) << "\" class=\"value\">"
-           << fmtCount(total) << "</text>\n";
-        y += bar_h + row_gap;
     }
     os << "</svg>\n";
 }
@@ -1343,7 +1220,6 @@ renderDashboard(const ReportSet &reports, const DashboardOptions &options)
     os << "</div>\n";
 
     renderSpeedupChart(os, rows);
-    renderStallChart(os, rows);
     renderCriticalPathChart(os, rows);
     renderCurveChart(os, rows);
     renderHeatmapChart(os, rows);

@@ -9,7 +9,7 @@
  *
  * Sections, in order: headline stat tiles and per-workload speedup
  * bars (normalized to the same workload's "no-ecc" run when present),
- * stacked stall-taxonomy bars from each report's profile section,
+ * stacked critical-path bars from each report's critical_path section,
  * a run table with epoch-series sparklines, MRC hit-rate and DRAM
  * traffic tables, a warnings panel (run warnings, campaign-manifest
  * failures, tree load errors), and — when a baseline tree is given —

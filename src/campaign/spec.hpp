@@ -24,9 +24,11 @@
  *
  * Error model: structural problems (missing "grid", an axis that is
  * not an array, an unknown knob name) reject the whole spec, while a
- * bad knob *value* ("scheme": "bogus", "warps": 0) marks only the
- * affected points as failed-at-expansion (CampaignPoint::expandError),
- * so one bad axis value can never abort the rest of the campaign.
+ * bad knob *value* ("scheme": "bogus", "warps": 0), or knob values
+ * that together make an impossible cache geometry ("l2_kib": 3), mark
+ * only the affected points as failed-at-expansion
+ * (CampaignPoint::expandError), so one bad axis value can never abort
+ * the rest of the campaign.
  */
 
 #ifndef CACHECRAFT_CAMPAIGN_SPEC_HPP

@@ -242,7 +242,6 @@ struct PendingResponse
 struct EngineArenas
 {
     SlabArena<SmallFn> parked;      //!< oversized void() continuations
-    SlabArena<WakeFn> parkedWakes;  //!< oversized MRC wakeups
     SlabArena<PendingRead> reads;   //!< sector-read join state
     SlabArena<PendingResponse> responses; //!< L2→SM response hops
 
@@ -250,28 +249,26 @@ struct EngineArenas
     reset()
     {
         parked.reset();
-        parkedWakes.reset();
         reads.reset();
         responses.reset();
     }
 
-    /** Bind all four slabs to @p domain (debug builds; see SlabArena). */
+    /** Bind all three slabs to @p domain (debug builds; see SlabArena). */
     void
     setDebugOwner(std::int32_t domain)
     {
         parked.setDebugOwner(domain);
-        parkedWakes.setDebugOwner(domain);
         reads.setDebugOwner(domain);
         responses.setDebugOwner(domain);
     }
 
-    /** Combined high-water mark across the four slabs (slots, not
+    /** Combined high-water mark across the three slabs (slots, not
      *  bytes — a cheap, deterministic footprint proxy per point). */
     std::size_t
     peakLiveTotal() const
     {
-        return parked.peakLive() + parkedWakes.peakLive() +
-               reads.peakLive() + responses.peakLive();
+        return parked.peakLive() + reads.peakLive() +
+               responses.peakLive();
     }
 };
 

@@ -11,8 +11,6 @@
  *
  *   - the crossbar router stages outbound messages under the sending
  *     domain's canonical (cycle, domain, seq) key,
- *   - the profiler stages stall charges for canonical merge at the
- *     next epoch barrier,
  *   - slab arenas (debug builds) assert that per-domain bundles are
  *     never touched from a foreign domain.
  *

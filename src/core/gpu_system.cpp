@@ -43,8 +43,6 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
 
     telemetry_ = std::make_unique<telemetry::Telemetry>(
         &stats_, config_.telemetry);
-    if (auto *prof = telemetry_->profiler())
-        prof->configureDomains(numDomains_);
     map_ = std::make_unique<AddressMap>(config_.dram,
                                         config_.effectiveLayout());
     std::vector<EventQueue *> channel_queues;
@@ -369,14 +367,14 @@ GpuSystem::run(const KernelTrace &trace)
     // Every domain drains its private queue up to a shared epoch
     // boundary, then the leader — alone, with all domains parked —
     // performs all cross-domain work in canonical order: crossbar
-    // arbitration (by send cycle, source domain, source seq), store
-    // commits (same key), and profiler stall merges. The epoch length
-    // equals the crossbar latency (minimum 1), so every cross-domain
-    // delivery lands strictly inside a later epoch of its destination:
-    // a send at cycle s in the epoch covering [kE, kE+E-1] delivers at
-    // >= s+E >= (k+1)E, past that epoch's barrier at (k+1)E-1. With
-    // the domain decomposition and barrier schedule fixed, execution
-    // is bit-identical at every --shards value.
+    // arbitration (by send cycle, source domain, source seq) and store
+    // commits (same key). The epoch length equals the crossbar latency
+    // (minimum 1), so every cross-domain delivery lands strictly inside
+    // a later epoch of its destination: a send at cycle s in the epoch
+    // covering [kE, kE+E-1] delivers at >= s+E >= (k+1)E, past that
+    // epoch's barrier at (k+1)E-1. With the domain decomposition and
+    // barrier schedule fixed, execution is bit-identical at every
+    // --shards value.
     //
     // Store commits additionally apply only at *canonical* boundaries
     // (cycle (k+1)E-1), never at observer-inserted ones, so enabling
@@ -477,8 +475,6 @@ GpuSystem::run(const KernelTrace &trace)
             respXbar_->applyStaged();
             if ((limit + 1) % epoch == 0)
                 applyStagedStores();
-            if (prof)
-                prof->applyStagedStalls();
             if (prof && limit >= profile_at)
                 prof->sampleOccupancy();
             if (limit >= sample_at)

@@ -13,7 +13,7 @@
  * — though not its interleaving with other threads — is the same
  * every run. Determinism never depends on this pool: all
  * cross-domain communication flows through canonically ordered barrier
- * merges (crossbar router, store staging, profiler stall staging).
+ * merges (crossbar router, store staging).
  *
  * ShardPool(1) spawns no threads and runs tasks inline on the caller,
  * which is exactly the --shards 1 execution mode.

@@ -133,24 +133,11 @@ DramChannel::tryIssue()
     CACHECRAFT_VERIFY_HOOK(onDramCompletion(now, complete_at));
 
     if (telemetry_) {
-        if (auto *prof = telemetry_->profiler()) {
-            // Cycle attribution: waiting for a busy bank, then the
-            // precharge/activate penalty, then (for metadata reads)
-            // the shared data bus occupied by redundancy traffic.
-            prof->chargeStall(telemetry::StallReason::kBankConflict, now,
-                              bank_ready);
-            if (outcome != RowOutcome::kHit)
-                prof->chargeStall(telemetry::StallReason::kRowMiss,
-                                  bank_ready, cas_at);
-            if (pending.req.isEcc && !pending.req.isWrite)
-                prof->chargeStall(
-                    telemetry::StallReason::kEccReadSerialization,
-                    data_at, done_at);
+        if (auto *prof = telemetry_->profiler())
             prof->recordRowAccess(
                 (static_cast<std::uint64_t>(id_) << 48) |
                 (static_cast<std::uint64_t>(pending.coord.bank) << 32) |
                 (pending.coord.row & 0xFFFFFFFFull));
-        }
     }
 
     // Flight records: the transfer record carries the queue wait (a)

@@ -40,9 +40,6 @@ Crossbar::arbitrate(unsigned port, Cycle sent, std::uint64_t trace_id,
     const Cycle accept_at = std::max(sent, portFreeAt_[port]);
     statContentionCycles.inc(accept_at - sent);
     if (telemetry_) {
-        if (auto *prof = telemetry_->profiler())
-            prof->chargeStall(telemetry::StallReason::kCrossbarBackpressure,
-                              sent, accept_at);
         if (auto *fr = telemetry_->recorder(); fr && trace_id != 0)
             fr->record(telemetry::RecordKind::kXbarHop, trace_id, sent,
                        port,

@@ -140,8 +140,8 @@ L2Slice::handleReadMiss(Addr sector_addr, ecc::MemTag tag, SmallFn done,
         if (fr)
             fr->record(telemetry::RecordKind::kL2MshrBlocked, trace_id,
                        events_.now(), sector_addr);
-        blocked_.push_back(BlockedRead{sector_addr, tag, std::move(done),
-                                       trace_id, events_.now()});
+        blocked_.push_back(
+            BlockedRead{sector_addr, tag, std::move(done), trace_id});
         return;
       case Outcome::kNewEntry:
         break;
@@ -169,10 +169,6 @@ L2Slice::issueFetch(Addr sector_addr, ecc::MemTag tag,
                 BlockedRead blocked = std::move(blocked_.front());
                 blocked_.pop_front();
                 if (telemetry_) {
-                    if (auto *prof = telemetry_->profiler())
-                        prof->chargeStall(
-                            telemetry::StallReason::kMshrFull,
-                            blocked.blockedAt, events_.now());
                     if (auto *rec = telemetry_->recorder();
                         rec && blocked.traceId != 0)
                         rec->record(telemetry::RecordKind::kL2MshrAdmit,

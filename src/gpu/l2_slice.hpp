@@ -146,8 +146,6 @@ class L2Slice
         ecc::MemTag tag;
         SmallFn done;
         std::uint64_t traceId = 0;
-        /** Cycle the read parked (for mshr_full stall attribution). */
-        Cycle blockedAt = 0;
     };
 
     SectoredCache cache_;

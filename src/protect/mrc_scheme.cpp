@@ -12,8 +12,6 @@
 
 namespace cachecraft {
 
-namespace {
-
 CacheParams
 mrcParams(const MrcOptions &options, std::uint64_t seed)
 {
@@ -26,8 +24,6 @@ mrcParams(const MrcOptions &options, std::uint64_t seed)
     params.seed = seed;
     return params;
 }
-
-} // namespace
 
 MrcScheme::MrcScheme(const SchemeContext &ctx, const MrcOptions &options,
                      bool cachecraft)
@@ -125,23 +121,6 @@ MrcScheme::withCheckField(Addr logical, WakeFn fn,
         return;
     }
     stats.mrcMisses.inc();
-    if (ctx_.telemetry) {
-        if (auto *prof = ctx_.telemetry->profiler()) {
-            // The access is blocked from here until the chunk fetch
-            // makes the field resident.
-            const Cycle start = ctx_.events->now();
-            const std::uint32_t inner =
-                ctx_.arenas->parkedWakes.acquire(std::move(fn));
-            fn = [this, prof, start, inner](bool resident) {
-                prof->chargeStall(telemetry::StallReason::kMrcProbeBlock,
-                                  start, ctx_.events->now());
-                WakeFn parked =
-                    std::move(ctx_.arenas->parkedWakes[inner]);
-                ctx_.arenas->parkedWakes.release(inner);
-                parked(resident);
-            };
-        }
-    }
     fetchChunk(logical, std::move(fn), trace_id);
 }
 

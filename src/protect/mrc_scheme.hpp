@@ -37,6 +37,13 @@
 
 namespace cachecraft {
 
+/**
+ * Tag-array parameters of one slice's MRC: @p options' size and
+ * associativity over one 32 B ECC chunk per line, one check field per
+ * sector.
+ */
+CacheParams mrcParams(const MrcOptions &options, std::uint64_t seed = 1);
+
 /** MRC-based protection scheme (EccCache baseline / CacheCraft). */
 class MrcScheme : public ProtectionScheme
 {

@@ -3,33 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/domain.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 
 namespace cachecraft::telemetry {
-
-const char *
-toString(StallReason reason)
-{
-    switch (reason) {
-      case StallReason::kMshrFull:
-        return "mshr_full";
-      case StallReason::kBankConflict:
-        return "bank_conflict";
-      case StallReason::kRowMiss:
-        return "row_miss";
-      case StallReason::kEccReadSerialization:
-        return "ecc_read_serialization";
-      case StallReason::kMrcProbeBlock:
-        return "mrc_probe_block";
-      case StallReason::kCrossbarBackpressure:
-        return "crossbar_backpressure";
-      case StallReason::kCount:
-        break;
-    }
-    return "unknown";
-}
 
 namespace {
 
@@ -50,75 +27,8 @@ hexKey(std::uint64_t key)
 
 Profiler::Profiler(StatRegistry *stats) : stats_(stats)
 {
-    if (stats_ == nullptr)
-        return;
-    for (std::size_t r = 0;
-         r < static_cast<std::size_t>(StallReason::kCount); ++r) {
-        const char *name = toString(static_cast<StallReason>(r));
-        stats_->registerCounter(strCat("profile.stall.", name, ".cycles"),
-                                &cycles_[r]);
-        stats_->registerCounter(strCat("profile.stall.", name, ".events"),
-                                &events_[r]);
-    }
-    stats_->registerCounter("profile.occ.samples", &samples_);
-}
-
-void
-Profiler::chargeStall(StallReason reason, Cycle from, Cycle to)
-{
-    if (to <= from)
-        return;
-    if (tlsSimDomain >= 0 &&
-        static_cast<std::size_t>(tlsSimDomain) < staged_.size()) {
-        staged_[static_cast<std::size_t>(tlsSimDomain)].items.push_back(
-            StagedStall{reason, from, to});
-        return;
-    }
-    applyStall(reason, from, to);
-}
-
-void
-Profiler::applyStall(StallReason reason, Cycle from, Cycle to)
-{
-    const std::size_t r = static_cast<std::size_t>(reason);
-    events_[r].inc();
-    const Cycle clipped_from = std::max(from, watermark_[r]);
-    if (to > clipped_from) {
-        cycles_[r].inc(to - clipped_from);
-        watermark_[r] = to;
-    }
-}
-
-void
-Profiler::configureDomains(unsigned num_domains)
-{
-    staged_.resize(num_domains);
-}
-
-void
-Profiler::applyStagedStalls()
-{
-    // Canonical merge: the union clip is order-sensitive, so staged
-    // charges apply in (from, source domain, lane index) order — the
-    // same total order at any --shards value.
-    std::vector<StagedKey> order;
-    applyStagedInOrder(
-        staged_, order, [](const StagedStall &s) { return s.from; },
-        [this](const StagedStall &s, const StagedKey &) {
-            applyStall(s.reason, s.from, s.to);
-        });
-}
-
-std::uint64_t
-Profiler::stallCycles(StallReason reason) const
-{
-    return cycles_[static_cast<std::size_t>(reason)].value();
-}
-
-std::uint64_t
-Profiler::stallEvents(StallReason reason) const
-{
-    return events_[static_cast<std::size_t>(reason)].value();
+    if (stats_)
+        stats_->registerCounter("profile.occ.samples", &samples_);
 }
 
 void
@@ -196,15 +106,6 @@ void
 Profiler::writeJson(JsonWriter &w) const
 {
     w.beginObject();
-    w.key("stalls").beginObject();
-    for (std::size_t r = 0;
-         r < static_cast<std::size_t>(StallReason::kCount); ++r) {
-        w.key(toString(static_cast<StallReason>(r))).beginObject();
-        w.key("cycles").value(cycles_[r].value());
-        w.key("events").value(events_[r].value());
-        w.endObject();
-    }
-    w.endObject();
     w.key("occupancy").beginObject();
     w.key("samples").value(samples_.value());
     w.key("gauges").beginObject();

@@ -11,7 +11,10 @@
  *  - headline results (cycles, IPC, traffic breakdown);
  *  - truncation warnings (empty for a clean run);
  *  - the full StatRegistry, histograms included (renderJson);
- *  - the profiler's cycle-attribution section, when profiling was on;
+ *  - the profiler's occupancy and hot-key section, when profiling was
+ *    on;
+ *  - the critical-path cycle attribution, when the flight recorder was
+ *    on;
  *  - the epoch-sampled time series, when sampling was enabled.
  *
  * Schema id: "cachecraft.run_report/1"; the cross-artifact

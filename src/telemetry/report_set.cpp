@@ -139,15 +139,6 @@ summarizeRunReport(const JsonValue &doc, const std::string &path,
         }
     }
 
-    if (const JsonValue *profile = doc.find("profile")) {
-        if (const JsonValue *stalls = profile->find("stalls");
-            stalls != nullptr && stalls->isObject()) {
-            for (const auto &[reason, entry] : stalls->asObject())
-                s.stallCycles.emplace_back(reason,
-                                           numberAt(entry, "cycles"));
-        }
-    }
-
     if (const JsonValue *critical = doc.find("critical_path")) {
         s.metadataFraction = numberAt(*critical, "metadata_fraction");
         if (const JsonValue *segments = critical->find("segments");

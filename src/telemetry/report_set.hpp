@@ -118,8 +118,6 @@ struct RunSummary
     double mrcCoverage = 0.0;
 
     std::vector<std::string> warnings;
-    /** (stall reason, cycles) from the profile section, report order. */
-    std::vector<std::pair<std::string, double>> stallCycles;
     /** (path segment, cycles) from the critical_path section, report
      *  order; empty when the run's flight recorder was off. */
     std::vector<std::pair<std::string, double>> criticalPathCycles;

@@ -4,7 +4,7 @@
  *
  * A Telemetry hub is owned by each GpuSystem and handed (as a nullable
  * pointer) to every instrumented component. It owns the optional
- * observers — the cycle-attribution Profiler, the binary
+ * observers — the occupancy Profiler, the binary
  * FlightRecorder (the per-request lifecycle capture, see
  * flight_recorder.hpp), the ReuseProfiler and a HostProfiler
  * reference — and mints the request ids that flight records key on.
@@ -36,7 +36,7 @@ struct TelemetryOptions
      * 0 disables sampling.
      */
     Cycle sampleInterval = 0;
-    /** Runtime gate for the cycle-attribution profiler. */
+    /** Runtime gate for the occupancy/hot-key profiler. */
     bool profileEnabled = false;
     /**
      * Occupancy-gauge polling interval in cycles for the profiler
@@ -100,9 +100,9 @@ class Telemetry
     }
 
     /**
-     * The cycle-attribution profiler, or nullptr when profiling is off
+     * The occupancy/hot-key profiler, or nullptr when profiling is off
      * (runtime gate) or tracing is compiled out. Hooks are expected to
-     * null-check: `if (auto *p = tel->profiler()) p->chargeStall(...)`.
+     * null-check: `if (auto *p = tel->profiler()) p->recordRowAccess(...)`.
      */
     Profiler *
     profiler() const

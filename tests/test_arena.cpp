@@ -161,13 +161,11 @@ TEST(EngineArenas, ResetClearsEveryArena)
 {
     EngineArenas arenas;
     arenas.parked.acquire(SmallFn([] {}));
-    arenas.parkedWakes.acquire(WakeFn([](bool) {}));
     arenas.reads.acquire(PendingRead{});
     arenas.responses.acquire(PendingResponse{});
     EXPECT_EQ(arenas.parked.liveCount(), 1u);
     arenas.reset();
     EXPECT_EQ(arenas.parked.liveCount(), 0u);
-    EXPECT_EQ(arenas.parkedWakes.liveCount(), 0u);
     EXPECT_EQ(arenas.reads.liveCount(), 0u);
     EXPECT_EQ(arenas.responses.liveCount(), 0u);
 }

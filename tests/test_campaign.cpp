@@ -151,6 +151,37 @@ TEST(CampaignSpecTest, BadKnobValueFailsOnlyItsPoints)
     EXPECT_TRUE(spec.points[2].expandError.empty());
 }
 
+TEST(CampaignSpecTest, BadCacheGeometryFailsOnlyItsPoints)
+{
+    // 3 KiB is not a whole number of 16-way 128 B sets and 384 KiB
+    // gives 192 sets; a 3 KiB MRC (8-way, 32 B lines) gives 12 sets,
+    // which fails only the schemes that build an MRC.
+    const CampaignSpec spec = parseOrDie(R"({
+      "name": "geometry",
+      "base": { "warps": 8, "mem_insts": 4, "footprint_mib": 1 },
+      "grid": {
+        "scheme": ["no-ecc", "cachecraft"],
+        "l2_kib": [512, 3, 384],
+        "mrc_kib": [16, 3]
+      }
+    })");
+    ASSERT_EQ(spec.points.size(), 12u);
+    const std::string l2_size =
+        "L2 geometry: cache size must be divisible by line size * assoc";
+    const std::string l2_sets =
+        "L2 geometry: cache must have a power-of-two number of sets";
+    const std::string mrc_sets =
+        "MRC geometry: cache must have a power-of-two number of sets";
+    const std::vector<std::string> expected = {
+        // no-ecc: the MRC size is never used
+        "", "", l2_size, l2_size, l2_sets, l2_sets,
+        // cachecraft: the L2 is checked first
+        "", mrc_sets, l2_size, l2_size, l2_sets, l2_sets};
+    for (std::size_t i = 0; i < spec.points.size(); ++i)
+        EXPECT_EQ(spec.points[i].expandError, expected[i])
+            << spec.points[i].label;
+}
+
 TEST(CampaignSpecTest, KnownKnobsIncludesTheGridEssentials)
 {
     const std::vector<std::string> knobs = campaign::knownKnobs();
@@ -243,6 +274,36 @@ TEST_F(CampaignRunnerTest, FailedPointIsRecordedAndDoesNotAbort)
                            "p000_streaming_no-ecc.json"));
     EXPECT_FALSE(fs::exists(out / "reports" /
                             "p001_streaming_bogus.json"));
+}
+
+TEST_F(CampaignRunnerTest, BadCacheGeometryIsContainedToItsPoint)
+{
+    // Before expansion checked geometry, the 3 KiB L2 ended the whole
+    // process inside the cache constructor: no manifest, lost points.
+    const fs::path out = runInto(R"({
+      "name": "geometry",
+      "base": { "workload": "streaming", "scheme": "no-ecc",
+                "warps": 8, "mem_insts": 4, "footprint_mib": 1 },
+      "grid": { "l2_kib": [512, 3] }
+    })",
+                                 1, "geometry");
+    EXPECT_EQ(results_.countWithStatus(PointStatus::kOk), 1u);
+    EXPECT_EQ(results_.countWithStatus(PointStatus::kFailed), 1u);
+
+    std::string error;
+    auto manifest =
+        jsonParse(slurp(out / "campaign_manifest.json"), &error);
+    ASSERT_TRUE(manifest.has_value()) << error;
+    EXPECT_DOUBLE_EQ(manifest->find("failed_points")->asNumber(), 1.0);
+    const auto &points = manifest->find("points")->asArray();
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_EQ(points[0].find("status")->asString(), "ok");
+    EXPECT_EQ(points[1].find("status")->asString(), "failed");
+    ASSERT_NE(points[1].find("error"), nullptr);
+    EXPECT_NE(points[1].find("error")->asString().find("L2 geometry"),
+              std::string::npos);
+    EXPECT_TRUE(fs::exists(out / "reports" / "p000_512.json"));
+    EXPECT_FALSE(fs::exists(out / "reports" / "p001_3.json"));
 }
 
 TEST_F(CampaignRunnerTest, RunReportsCarryNoWallClockVariance)

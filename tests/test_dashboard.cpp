@@ -29,7 +29,11 @@ using campaign::htmlEscape;
 using campaign::renderDashboard;
 using telemetry::ReportSet;
 
-/** A minimal but section-complete run report document. */
+/**
+ * A minimal but section-complete run report document. Its "profile"
+ * object is the legacy stall-taxonomy shape older reports carry: it
+ * must still load (and is ignored), with no schema bump.
+ */
 std::string
 runReportText(const std::string &workload, const std::string &scheme,
               double cycles, const std::string &warning = "")
@@ -53,6 +57,10 @@ runReportText(const std::string &workload, const std::string &scheme,
        << R"("profile": {"stalls": {
              "row_miss": {"cycles": 300, "events": 30},
              "mshr_full": {"cycles": 120, "events": 12}}},)"
+       << R"("critical_path": {"requests": 40, "incomplete_requests": 0,
+             "total_latency_cycles": 1000, "metadata_fraction": 0.25,
+             "segments": {"data_fetch": 500, "meta_fetch": 150,
+                          "mrc_wait": 100, "xbar_transit": 250}},)"
        << R"("epochs": [
              {"epoch": 0, "cycle_start": 0, "cycle_end": 1000,
               "deltas": {"sm0.insts": 40, "dram.ch0.reads": 9}},
@@ -155,7 +163,12 @@ TEST(ReportSetTest, SummarizeExtractsTheDashboardFields)
     EXPECT_DOUBLE_EQ(s->cycles, 5000.0);
     EXPECT_DOUBLE_EQ(s->mrcHitRate, 0.9);
     ASSERT_EQ(s->warnings.size(), 1u);
-    ASSERT_EQ(s->stallCycles.size(), 2u);
+    ASSERT_EQ(s->criticalPathCycles.size(), 4u);
+    EXPECT_EQ(s->criticalPathCycles[0].first, "data_fetch");
+    EXPECT_DOUBLE_EQ(s->criticalPathCycles[0].second, 500.0);
+    EXPECT_EQ(s->criticalPathCycles[2].first, "mrc_wait");
+    EXPECT_DOUBLE_EQ(s->criticalPathCycles[2].second, 100.0);
+    EXPECT_DOUBLE_EQ(s->metadataFraction, 0.25);
     ASSERT_EQ(s->instructionEpochs.size(), 2u);
     EXPECT_DOUBLE_EQ(s->instructionEpochs[1].value, 60.0);
     ASSERT_EQ(s->dramEpochs.size(), 2u);
@@ -368,7 +381,7 @@ TEST(DashboardTest, RendersAllSectionsSelfContained)
         renderDashboard(twoRunSet(), DashboardOptions{});
     EXPECT_NE(html.find("<!doctype html>"), std::string::npos);
     EXPECT_NE(html.find("Headline speedup"), std::string::npos);
-    EXPECT_NE(html.find("Stall taxonomy"), std::string::npos);
+    EXPECT_NE(html.find("Critical path"), std::string::npos);
     EXPECT_NE(html.find("DRAM traffic"), std::string::npos);
     EXPECT_NE(html.find("<polyline"), std::string::npos); // sparkline
     // The warning is present — escaped, never as raw markup.

@@ -29,11 +29,14 @@ namespace {
 namespace fs = std::filesystem;
 
 /** Pinned digest of the ci_smoke report tree (see file comment).
- *  Last deliberate refresh: the span tracer's removal dropped its
- *  always-empty per-stage latency histograms and the trace_enabled
- *  config key from every report; no other value moved. */
+ *  Last deliberate refresh: the stall taxonomy's removal dropped the
+ *  profile.stall.<reason>.cycles/.events counters and the report's
+ *  profile.stalls object. cachecraft_diff of the 4 report pairs:
+ *  0 of 109331 compared values changed, onlyAfter empty, onlyBefore
+ *  1434 entries, all stall ones (48 stat counters, 1338 epoch deltas,
+ *  48 profile.stalls keys). */
 constexpr const char *kCiSmokeGoldenHash =
-    "60431556f3c99cb98afbe29588a4f008b76f461aed5cce6d2b20838bddfa36ff";
+    "97abfdc4006b6ffb3c519abd3ee84df7095424081905a25add7bc42541825985";
 
 std::string
 slurp(const fs::path &path)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the cycle-attribution profiler: watermark union-clipping
- * stall accounting, occupancy gauges, hot-key ranking, and profiled
- * end-to-end runs (self-consistency, determinism, timing neutrality).
+ * Tests for the occupancy profiler: stat registration, occupancy
+ * gauges, hot-key ranking, and profiled end-to-end runs (determinism,
+ * timing neutrality).
  */
 
 #include <gtest/gtest.h>
@@ -19,79 +19,25 @@ namespace cachecraft {
 namespace {
 
 using telemetry::Profiler;
-using telemetry::StallReason;
 
 // --------------------------------------------------------------------
-// Stall accounting (unit level; the Profiler class is compiled in even
+// Stat registration (unit level; the Profiler class is compiled in even
 // when the CACHECRAFT_DISABLE_TRACING hooks are not)
 // --------------------------------------------------------------------
-
-TEST(Profiler, StallReasonNamesAreStable)
-{
-    EXPECT_STREQ(toString(StallReason::kMshrFull), "mshr_full");
-    EXPECT_STREQ(toString(StallReason::kBankConflict), "bank_conflict");
-    EXPECT_STREQ(toString(StallReason::kRowMiss), "row_miss");
-    EXPECT_STREQ(toString(StallReason::kEccReadSerialization),
-                 "ecc_read_serialization");
-    EXPECT_STREQ(toString(StallReason::kMrcProbeBlock),
-                 "mrc_probe_block");
-    EXPECT_STREQ(toString(StallReason::kCrossbarBackpressure),
-                 "crossbar_backpressure");
-}
-
-TEST(Profiler, ChargesDisjointIntervalsFully)
-{
-    Profiler prof(nullptr);
-    prof.chargeStall(StallReason::kBankConflict, 10, 20);
-    prof.chargeStall(StallReason::kBankConflict, 30, 35);
-    EXPECT_EQ(prof.stallCycles(StallReason::kBankConflict), 15u);
-    EXPECT_EQ(prof.stallEvents(StallReason::kBankConflict), 2u);
-}
-
-TEST(Profiler, OverlappingIntervalsChargeTheUnion)
-{
-    Profiler prof(nullptr);
-    prof.chargeStall(StallReason::kRowMiss, 10, 20);
-    // Overlaps the tail of the previous charge: only [20,25) is new.
-    prof.chargeStall(StallReason::kRowMiss, 15, 25);
-    EXPECT_EQ(prof.stallCycles(StallReason::kRowMiss), 15u);
-    // Fully contained in already-charged time: counts as an event but
-    // adds no cycles.
-    prof.chargeStall(StallReason::kRowMiss, 12, 18);
-    EXPECT_EQ(prof.stallCycles(StallReason::kRowMiss), 15u);
-    EXPECT_EQ(prof.stallEvents(StallReason::kRowMiss), 3u);
-}
-
-TEST(Profiler, EmptyIntervalIsANoOp)
-{
-    Profiler prof(nullptr);
-    prof.chargeStall(StallReason::kMshrFull, 20, 20);
-    prof.chargeStall(StallReason::kMshrFull, 20, 10);
-    EXPECT_EQ(prof.stallCycles(StallReason::kMshrFull), 0u);
-    EXPECT_EQ(prof.stallEvents(StallReason::kMshrFull), 0u);
-}
-
-TEST(Profiler, ReasonsHaveIndependentWatermarks)
-{
-    Profiler prof(nullptr);
-    prof.chargeStall(StallReason::kBankConflict, 0, 100);
-    prof.chargeStall(StallReason::kMrcProbeBlock, 50, 60);
-    EXPECT_EQ(prof.stallCycles(StallReason::kBankConflict), 100u);
-    EXPECT_EQ(prof.stallCycles(StallReason::kMrcProbeBlock), 10u);
-}
 
 TEST(Profiler, RegistersCountersWithTheStatRegistry)
 {
     StatRegistry reg;
     Profiler prof(&reg);
-    prof.chargeStall(StallReason::kMshrFull, 0, 7);
+    prof.sampleOccupancy();
 
     std::map<std::string, double> flat;
     for (const auto &[name, value] : reg.flatten())
         flat[name] = value;
-    EXPECT_DOUBLE_EQ(flat.at("profile.stall.mshr_full.cycles"), 7.0);
-    EXPECT_EQ(flat.count("profile.stall.mshr_full.events"), 1u);
-    EXPECT_EQ(flat.count("profile.occ.samples"), 1u);
+    EXPECT_DOUBLE_EQ(flat.at("profile.occ.samples"), 1.0);
+    // Only occupancy stats: the profiler attributes no cycles.
+    for (const auto &[name, value] : flat)
+        EXPECT_EQ(name.rfind("profile.occ.", 0), 0u) << name;
 }
 
 // --------------------------------------------------------------------
@@ -141,7 +87,8 @@ TEST(Profiler, HotRankingSortsByCountThenKeyAndTruncates)
 TEST(Profiler, WriteJsonIsValid)
 {
     Profiler prof(nullptr);
-    prof.chargeStall(StallReason::kRowMiss, 0, 9);
+    prof.addGauge("q", [] { return std::uint64_t{3}; });
+    prof.sampleOccupancy();
     prof.recordRowAccess(42);
     prof.recordSectorAccess(0x1000);
 
@@ -150,8 +97,18 @@ TEST(Profiler, WriteJsonIsValid)
     prof.writeJson(w);
     std::string err;
     ASSERT_TRUE(jsonValidate(os.str(), &err)) << err;
-    EXPECT_NE(os.str().find("\"row_miss\""), std::string::npos);
+    const auto doc = jsonParse(os.str(), &err);
+    ASSERT_TRUE(doc.has_value()) << err;
+    ASSERT_TRUE(doc->isObject());
+    EXPECT_EQ(doc->find("stalls"), nullptr);
+    const JsonValue *occ = doc->find("occupancy");
+    ASSERT_NE(occ, nullptr);
+    ASSERT_NE(occ->find("gauges"), nullptr);
+    EXPECT_NE(occ->find("gauges")->find("q"), nullptr);
+    EXPECT_NE(doc->find("hot_rows"), nullptr);
+    EXPECT_NE(doc->find("hot_sectors"), nullptr);
     EXPECT_NE(os.str().find("\"0x2a\""), std::string::npos);
+    EXPECT_NE(os.str().find("\"0x1000\""), std::string::npos);
 }
 
 // --------------------------------------------------------------------
@@ -202,25 +159,6 @@ class ProfiledRun : public ::testing::Test
     RunStats rs_;
     telemetry::Profiler *prof_ = nullptr;
 };
-
-TEST_F(ProfiledRun, StallCyclesNeverExceedRunCycles)
-{
-    // The watermark accounting guarantees each reason's total is a
-    // union of disjoint wall-clock intervals, so it is bounded by the
-    // run length.
-    std::uint64_t any = 0;
-    for (std::size_t r = 0;
-         r < static_cast<std::size_t>(StallReason::kCount); ++r) {
-        const auto reason = static_cast<StallReason>(r);
-        EXPECT_LE(prof_->stallCycles(reason), rs_.cycles)
-            << toString(reason);
-        any += prof_->stallEvents(reason);
-    }
-    // A CacheCraft run on a streaming workload must observe at least
-    // some structural stalls (row misses if nothing else).
-    EXPECT_GT(any, 0u);
-    EXPECT_GT(prof_->stallCycles(StallReason::kRowMiss), 0u);
-}
 
 TEST_F(ProfiledRun, OccupancySampledAndGaugesRegistered)
 {

@@ -22,6 +22,29 @@ smallParams()
     return p;
 }
 
+TEST(SectoredCache, GeometryErrorNamesEachInvalidShape)
+{
+    EXPECT_EQ(cacheGeometryError(smallParams()), "");
+
+    auto with = [](auto mutate) {
+        CacheParams p = smallParams();
+        mutate(p);
+        return cacheGeometryError(p);
+    };
+    EXPECT_EQ(with([](CacheParams &p) { p.sectorBytes = 24; }),
+              "cache line/sector sizes must be powers of two");
+    EXPECT_EQ(with([](CacheParams &p) { p.sectorBytes = 256; }),
+              "cache line size must be a multiple of the sector size");
+    EXPECT_EQ(with([](CacheParams &p) { p.assoc = 0; }),
+              "cache associativity must be positive");
+    EXPECT_EQ(with([](CacheParams &p) { p.sizeBytes = 1000; }),
+              "cache size must be divisible by line size * assoc");
+    EXPECT_EQ(with([](CacheParams &p) { p.sizeBytes = 1536; }), // 3 sets
+              "cache must have a power-of-two number of sets");
+    EXPECT_EQ(with([](CacheParams &p) { p.sectorBytes = 8; }),
+              "at most 8 sectors per line supported (SectorMask width)");
+}
+
 TEST(SectoredCache, MissThenSectorFillThenHit)
 {
     SectoredCache cache("c", smallParams(), nullptr);

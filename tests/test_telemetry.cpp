@@ -403,8 +403,9 @@ TEST_F(TracedRun, RunReportCarriesProfileSection)
     std::string err;
     ASSERT_TRUE(jsonValidate(os.str(), &err)) << err;
     EXPECT_NE(os.str().find("\"profile\""), std::string::npos);
-    EXPECT_NE(os.str().find("\"stalls\""), std::string::npos);
+    EXPECT_NE(os.str().find("\"occupancy\""), std::string::npos);
     EXPECT_NE(os.str().find("\"hot_rows\""), std::string::npos);
+    EXPECT_EQ(os.str().find("\"stalls\""), std::string::npos);
 }
 
 TEST(RunWarnings, FlightRingOverflowIsReported)

@@ -2,7 +2,7 @@
  * @file
  * cachecraft_dashboard — render a report tree (a cachecraft_sweep
  * output or any CACHECRAFT_REPORT_DIR drop) as one self-contained
- * static HTML file: headline speedup bars, stall-taxonomy stacks,
+ * static HTML file: headline speedup bars, critical-path stacks,
  * epoch sparklines, MRC/traffic tables, and a warnings panel — all
  * inline SVG/CSS, no scripts, no network assets.
  *

@@ -77,9 +77,11 @@ usage()
         "telemetry:\n"
         "  --sample-interval N sample stat deltas every N cycles\n"
         "  --epochs-csv FILE   write the epoch series as CSV\n"
-        "  --profile           enable the cycle-attribution profiler\n"
-        "                      (stall reasons, occupancy, hot rows;\n"
-        "                      adds a \"profile\" report section)\n"
+        "  --profile           enable the occupancy profiler\n"
+        "                      (occupancy gauges, hottest DRAM rows\n"
+        "                      and L2 sectors; adds a \"profile\"\n"
+        "                      report section; cycle attribution is\n"
+        "                      --flight-record's critical path)\n"
         "  --profile-interval N poll occupancy gauges every N cycles\n"
         "                      (default 4096)\n"
         "  --report-json FILE  write the full machine-readable run\n"
@@ -416,19 +418,6 @@ main(int argc, char **argv)
         std::printf("WARNING           %s\n", warning.c_str());
 
     if (const telemetry::Profiler *prof = gpu.telemetry().profiler()) {
-        std::printf("--- stall attribution ---\n");
-        for (std::size_t r = 0;
-             r < static_cast<std::size_t>(
-                     telemetry::StallReason::kCount);
-             ++r) {
-            const auto reason = static_cast<telemetry::StallReason>(r);
-            std::printf("%-24s %llu cycles (%llu events)\n",
-                        telemetry::toString(reason),
-                        static_cast<unsigned long long>(
-                            prof->stallCycles(reason)),
-                        static_cast<unsigned long long>(
-                            prof->stallEvents(reason)));
-        }
         const auto hot = prof->hottestRows();
         if (!hot.empty()) {
             std::printf("hottest row       0x%llx (%llu accesses)\n",
