@@ -15,7 +15,7 @@
  * The memory-path cases time the per-sector miss path's bookkeeping on
  * its own: MSHR allocate/merge/release with entry-owned waiters, the
  * DRAM FR-FCFS queue under a deep backlog, and sparse stored-byte
- * reads. BM_ShardPoolEpoch times the sharded engine's epoch handoff.
+ * reads.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,14 +25,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <numeric>
 #include <queue>
 #include <vector>
 
 #include "cache/mshr.hpp"
 #include "common/rng.hpp"
 #include "core/cachecraft.hpp"
-#include "core/shard_exec.hpp"
 #include "dram/dram_model.hpp"
 #include "gpu/event_queue.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -237,7 +235,7 @@ class SparseDomains
             timer(d);
     }
 
-    /** Drain like GpuSystem::run's serial leader; returns events. */
+    /** Drain like GpuSystem::run's epoch loop; returns events. */
     std::uint64_t
     run()
     {
@@ -334,35 +332,6 @@ BM_EngineSparseDomains(benchmark::State &state)
 }
 
 BENCHMARK(BM_EngineSparseDomains)->Unit(benchmark::kMillisecond);
-
-/**
- * The sharded engine's per-epoch handoff on its own: ShardPool::run()
- * over the 24 domain ids of the default machine (16 SMs + 8 channels)
- * with trivial tasks, so real time per iteration is the pool's cost
- * per epoch. Arg: requested threads (clamped to the hardware threads,
- * reported as the "threads" counter).
- */
-void
-BM_ShardPoolEpoch(benchmark::State &state)
-{
-    ShardPool pool(static_cast<unsigned>(state.range(0)));
-    std::vector<std::uint32_t> domains(24);
-    std::iota(domains.begin(), domains.end(), 0u);
-    struct alignas(64) Slot
-    {
-        std::uint64_t runs = 0;
-    };
-    std::vector<Slot> slots(domains.size());
-    ShardPool::TaskFn task = [&slots](std::uint32_t d) { ++slots[d].runs; };
-    for (auto _ : state) {
-        pool.run(domains, task);
-        benchmark::DoNotOptimize(slots.data());
-        benchmark::ClobberMemory();
-    }
-    state.counters["threads"] = pool.threads();
-    state.SetLabel("real time per iteration is ns per epoch");
-}
-BENCHMARK(BM_ShardPoolEpoch)->Arg(2)->Arg(4)->UseRealTime();
 
 /**
  * The per-sector miss path's bookkeeping: 64 lines miss (new MSHR

@@ -325,33 +325,6 @@ main(int argc, char **argv)
         w.endObject();
     }
 
-    // Sharded-engine rerun of the same smoke point at --shards 2: the
-    // engine's determinism contract as a gated metric. cycles and
-    // events_executed must stay byte-equal to the serial
-    // "streaming.cachecraft" point above — any divergence between the
-    // sharded and serial schedules trips the gate. The host throughput
-    // of the sharded run is wall-clock-varying and goes under the
-    // manifest section only.
-    SimThroughput sharded_throughput;
-    {
-        std::fprintf(stderr, "[perf_smoke] streaming.cachecraft"
-                             " (shards=2)\n");
-        SystemConfig cfg = bench::configFor(SchemeKind::kCacheCraft);
-        GpuSystem gpu(cfg);
-        gpu.setShards(2);
-        const RunStats rs = gpu.run(
-            makeWorkload(WorkloadKind::kStreaming, smokeParams()));
-        sharded_throughput = rs.simThroughput;
-        w.key("sharded_engine").beginObject();
-        w.key("shards").value(std::uint64_t{2});
-        w.key("cycles").value(static_cast<std::uint64_t>(rs.cycles));
-        w.key("events_executed").value(rs.simThroughput.eventsExecuted);
-        w.key("dram_total_txns").value(rs.dramTotalTxns);
-        w.key("l2_sector_hits").value(rs.l2SectorHits);
-        w.key("l2_sector_misses").value(rs.l2SectorMisses);
-        w.endObject();
-    }
-
     std::fprintf(stderr, "[perf_smoke] codec_kernels sweep\n");
     writeCodecKernels(w);
 
@@ -366,10 +339,6 @@ main(int argc, char **argv)
             w.key("sim_mcycles_per_sec").value(st.simMcyclesPerSec);
             w.endObject();
         }
-        w.endObject();
-        w.key("sharded_engine").beginObject();
-        w.key("host_seconds").value(sharded_throughput.hostSeconds);
-        w.key("events_per_sec").value(sharded_throughput.eventsPerSec);
         w.endObject();
         w.endObject();
     }

@@ -62,7 +62,6 @@ runOnePoint(const CampaignSpec &spec, const CampaignPoint &point,
     CC_HOST_ZONE_COUNTED("campaign.point");
     try {
         GpuSystem gpu(point.config, arenas);
-        gpu.setShards(std::max(1u, options.shards));
         const KernelTrace trace =
             makeWorkload(point.workload, point.params);
         RunStats rs = gpu.run(trace);
@@ -143,7 +142,6 @@ runCampaign(const CampaignSpec &spec, const RunnerOptions &options)
         std::min<std::size_t>(result.jobs,
                               std::max<std::size_t>(
                                   spec.points.size(), 1)));
-    result.shards = std::max(1u, options.shards);
     result.outcomes.resize(spec.points.size());
 
     fs::create_directories(fs::path(options.outDir) / "reports");
@@ -193,7 +191,7 @@ runCampaign(const CampaignSpec &spec, const RunnerOptions &options)
     };
 
     auto worker = [&]() {
-        // One slab-arena pool per worker (one arena bundle per shard
+        // One slab-arena pool per worker (one arena bundle per engine
         // domain), reused across every point this worker runs: the
         // chunk storage stays warm instead of being reallocated per
         // GpuSystem. reset() between points restores the canonical
@@ -341,7 +339,6 @@ renderCampaignManifest(const CampaignSpec &spec,
     w.key("build").value(telemetry::buildVersion());
     w.key("hostname").value(telemetry::osHostname());
     w.key("jobs").value(std::uint64_t{result.jobs});
-    w.key("shards").value(std::uint64_t{result.shards});
     w.key("wall_seconds").value(result.wallSeconds);
     w.key("point_wall_seconds").beginObject();
     for (std::size_t i = 0; i < spec.points.size(); ++i)

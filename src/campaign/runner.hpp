@@ -66,14 +66,6 @@ struct RunnerOptions
     /** Worker threads; 0 means std::thread::hardware_concurrency(). */
     unsigned jobs = 0;
     /**
-     * Engine shard threads *within* each point (GpuSystem::setShards);
-     * composes with jobs (total threads ~ jobs * shards). Report bytes
-     * are independent of this value — the engine's decomposition and
-     * barrier schedule are fixed — so it is a pure throughput knob and
-     * is recorded only under the host-varying manifest section.
-     */
-    unsigned shards = 1;
-    /**
      * Per-point wall-clock budget in seconds; a point whose run
      * exceeds it is recorded as kTimeout (the report is still
      * written — the model cannot be preempted mid-run, so the budget
@@ -98,7 +90,6 @@ struct CampaignResult
     std::vector<PointOutcome> outcomes; //!< one per spec point
     double wallSeconds = 0.0;           //!< whole-campaign wall time
     unsigned jobs = 0;                  //!< workers actually used
-    unsigned shards = 1;                //!< engine shards per point
 
     std::size_t countWithStatus(PointStatus status) const;
 };

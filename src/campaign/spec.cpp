@@ -9,7 +9,6 @@
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "ecc/crc32.hpp"
-#include "protect/mrc_scheme.hpp"
 #include "telemetry/options.hpp"
 
 namespace cachecraft::campaign {
@@ -47,26 +46,6 @@ valueString(const JsonValue &v)
       default:
         return "?";
     }
-}
-
-/**
- * Why the caches a point's GpuSystem would build cannot exist (see
- * cacheGeometryError), or empty. Checked at expansion because their
- * constructors end the process: an "l2_kib" of 3 must fail its point,
- * not the campaign. The MRC is checked only for schemes that build it.
- */
-std::string
-geometryError(const SystemConfig &config)
-{
-    if (std::string e = cacheGeometryError(config.l2.cache); !e.empty())
-        return "L2 geometry: " + e;
-    if (config.scheme == SchemeKind::kEccCache ||
-        config.scheme == SchemeKind::kCacheCraft) {
-        if (std::string e = cacheGeometryError(mrcParams(config.mrc));
-            !e.empty())
-            return "MRC geometry: " + e;
-    }
-    return {};
 }
 
 template <typename Kind>
@@ -367,8 +346,11 @@ parseCampaignSpec(const std::string &text, std::string *error)
                 !applyKnob(point, knob, value, &e))
                 point_error = "grid axis \"" + knob + "\" " + e;
         }
+        // Checked at expansion because the cache constructors end the
+        // process: an "l2_kib" of 3 must fail its point, not the
+        // campaign.
         if (point_error.empty())
-            point_error = geometryError(point.config);
+            point_error = point.config.geometryError();
         point.expandError = std::move(point_error);
         spec.points.push_back(std::move(point));
 

@@ -49,12 +49,11 @@ class SlabArena
     ~SlabArena() { destroyLive(); }
 
     /**
-     * Bind this arena to one shard domain (debug builds): any
+     * Bind this arena to one engine domain (debug builds): any
      * acquire/release from a *different* domain's event execution
-     * panics, so cross-shard allocation — which would race under
-     * --shards > 1 and silently skew the per-shard arenaPeakSlots
-     * metric — is caught deterministically even in single-threaded
-     * runs. Calls from outside domain execution (construction,
+     * panics, so cross-domain allocation — which would silently skew
+     * the per-domain arenaPeakSlots metric — is caught
+     * deterministically. Calls from outside domain execution (construction,
      * barriers, unit tests: tlsSimDomain == kDomainNone) are always
      * allowed. No-op under NDEBUG.
      */
@@ -149,7 +148,7 @@ class SlabArena
 #ifndef NDEBUG
         if (debugOwner_ != kDomainNone && tlsSimDomain != kDomainNone &&
             tlsSimDomain != debugOwner_)
-            panic("SlabArena touched from a foreign shard domain");
+            panic("SlabArena touched from a foreign engine domain");
 #endif
     }
 
@@ -233,10 +232,10 @@ struct PendingResponse
 };
 
 /**
- * One shard domain's arena bundle. Every slab is owned by exactly one
+ * One engine domain's arena bundle. Every slab is owned by exactly one
  * domain (an SM or an L2-slice/channel pair) and only that domain's
- * event execution may allocate or release from it — the deterministic
- * sharding contract (core/shard_exec.hpp). setDebugOwner() arms the
+ * event execution may allocate or release from it, so each slab's
+ * high-water mark is a single-domain figure. setDebugOwner() arms the
  * per-slab debug assert.
  */
 struct EngineArenas
@@ -273,7 +272,7 @@ struct EngineArenas
 };
 
 /**
- * The per-simulation arena set: one EngineArenas bundle per shard
+ * The per-simulation arena set: one EngineArenas bundle per engine
  * domain, grown on demand. GpuSystem owns one by default; the campaign
  * runner injects a per-worker pool that is reset between points so
  * slab storage survives across the whole campaign. Bundle addresses
@@ -309,7 +308,7 @@ class EngineArenaPool
     /**
      * Sum of every domain bundle's peakLiveTotal(). Each addend is a
      * single-domain high-water mark, so the metric stays meaningful
-     * per shard and its total is independent of --shards.
+     * per domain.
      */
     std::size_t
     peakLiveTotal() const

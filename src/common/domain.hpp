@@ -1,10 +1,10 @@
 /**
  * @file
- * Execution-domain context for the sharded engine.
+ * Execution-domain context for the domain/epoch engine.
  *
- * A sharded run partitions the machine into fixed *domains* — one per
+ * The engine partitions the machine into fixed *domains* — one per
  * SM and one per L2-slice/DRAM-channel pair — each with a private
- * event queue (see core/shard_exec.hpp). While a domain's events are
+ * event queue (see GpuSystem::run). While a domain's events are
  * being executed, these thread-locals identify the domain and its
  * queue, so cross-cutting facilities can act on the caller's behalf
  * without threading a context parameter through every component:
@@ -16,7 +16,7 @@
  *
  * Outside domain execution — construction, epoch barriers, unit tests
  * driving components directly — the domain is kDomainNone and every
- * consumer falls back to its immediate single-threaded behaviour.
+ * consumer falls back to its immediate behaviour.
  */
 
 #ifndef CACHECRAFT_COMMON_DOMAIN_HPP
@@ -33,7 +33,7 @@ namespace cachecraft {
 
 class EventQueue;
 
-/** Sentinel: not executing inside any shard domain. */
+/** Sentinel: not executing inside any engine domain. */
 inline constexpr std::int32_t kDomainNone = -1;
 
 /** The domain whose events this thread is currently executing. */
@@ -45,8 +45,8 @@ inline thread_local EventQueue *tlsSimQueue = nullptr;
 /**
  * Canonical merge key of one item a domain staged for the next epoch
  * barrier: (cycle, source domain, index in that domain's lane). The
- * leader applies staged items sorted by it, so the result is the same
- * at any --shards value.
+ * barrier applies staged items sorted by it, so the result does not
+ * depend on the order in which domains were drained.
  */
 struct StagedKey
 {
@@ -57,17 +57,14 @@ struct StagedKey
     auto operator<=>(const StagedKey &) const = default;
 };
 
-/**
- * One source domain's staging lane. Every lane sits on its own cache
- * lines, so domains staging concurrently never write a shared line.
- */
+/** One source domain's staging lane. */
 template <class T>
-struct alignas(64) StagedLane
+struct StagedLane
 {
     std::vector<T> items;
 };
 
-/** Leader-only: true if any lane holds a staged item. */
+/** True if any lane holds a staged item. */
 template <class T>
 bool
 anyStaged(const std::vector<StagedLane<T>> &lanes)
@@ -77,7 +74,7 @@ anyStaged(const std::vector<StagedLane<T>> &lanes)
 }
 
 /**
- * Leader-only canonical merge: call apply(item, key) for every staged
+ * Barrier-only canonical merge: call apply(item, key) for every staged
  * item in StagedKey order, where cycle_of(item) is the key's cycle,
  * then empty the lanes. @p order is reusable sort scratch.
  */

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "protect/mrc_scheme.hpp"
 
 namespace cachecraft {
 
@@ -51,6 +52,18 @@ SystemConfig::validate() const
     if (sm.l1.sectorBytes != kSectorBytes ||
         l2.cache.sectorBytes != kSectorBytes)
         fatal("L1/L2 must use the canonical 32 B sector");
+}
+
+std::string
+SystemConfig::geometryError() const
+{
+    if (std::string e = cacheGeometryError(l2.cache); !e.empty())
+        return "L2 geometry: " + e;
+    if (scheme == SchemeKind::kEccCache || scheme == SchemeKind::kCacheCraft) {
+        if (std::string e = cacheGeometryError(mrcParams(mrc)); !e.empty())
+            return "MRC geometry: " + e;
+    }
+    return {};
 }
 
 std::string

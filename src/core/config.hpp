@@ -69,6 +69,15 @@ struct SystemConfig
     /** Sanity-check invariants; calls fatal() on bad configs. */
     void validate() const;
 
+    /**
+     * Why the caches a GpuSystem built from this config would build
+     * cannot exist ("L2 geometry: …" / "MRC geometry: …", see
+     * cacheGeometryError), or empty. The cache constructors fatal()
+     * on these, so entry points check first. The MRC is checked only
+     * for schemes that build it.
+     */
+    std::string geometryError() const;
+
     /** One-line summary, e.g. for bench row labels. */
     std::string summary() const;
 

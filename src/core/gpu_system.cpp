@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "common/bits.hpp"
 #include "common/domain.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "core/shard_exec.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/sampler.hpp"
@@ -22,12 +20,9 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
 {
     config_.validate();
 
-    // Fixed domain decomposition, independent of --shards: one event
-    // queue per SM and one per L2-slice/DRAM-channel pair. Every run
-    // executes this same decomposition under the same epoch-barrier
-    // schedule; the shard count only picks how many threads drain the
-    // domains between barriers, which is why reports are bit-identical
-    // at any value.
+    // Fixed domain decomposition: one event queue per SM and one per
+    // L2-slice/DRAM-channel pair, drained in turn under one
+    // epoch-barrier schedule (see run()).
     const unsigned num_slices = config_.dram.numChannels;
     numDomains_ = config_.numSms + num_slices;
     queues_.reserve(numDomains_);
@@ -35,8 +30,8 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
         queues_.push_back(std::make_unique<EventQueue>());
     storeStage_.resize(config_.numSms);
     // Materialize (and, in debug builds, bind) every domain's arena
-    // bundle now, so concurrent forDomain() lookups during the run
-    // never grow the pool.
+    // bundle now, so forDomain() lookups during the run never grow the
+    // pool.
     for (unsigned d = 0; d < numDomains_; ++d)
         arenaPool_->forDomain(d).setDebugOwner(
             static_cast<std::int32_t>(d));
@@ -54,10 +49,9 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
                                          telemetry_.get());
     codec_ = ecc::makeCodec(config_.codec);
 
-    // The crossbars always run in router mode (even at --shards 1):
-    // send() stages under the sending domain and the epoch leader
-    // arbitrates in canonical order at barriers. The reference queue
-    // is unused in that mode.
+    // The crossbars always run in router mode: send() stages under
+    // the sending domain and the epoch barrier arbitrates in canonical
+    // order. The reference queue is unused in that mode.
     reqXbar_ = std::make_unique<Crossbar>("xbar.req", num_slices,
                                           config_.xbarLatency, *queues_[0],
                                           &stats_, telemetry_.get());
@@ -146,9 +140,10 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
         auto l2_write = [this, s](Addr addr, ecc::MemTag tag) {
             // The store's architectural value is committed at the next
             // canonical epoch boundary, in (cycle, SM, issue-order)
-            // order — deterministic at any --shards, and always before
-            // the slice can observe the stored data (the write message
-            // itself crosses the barrier later than the commit).
+            // order — independent of domain drain order, and always
+            // before the slice can observe the stored data (the write
+            // message itself crosses the barrier later than the
+            // commit).
             storeStage_[s].items.push_back(
                 StagedStore{addr, smQueue(s).now()});
             const SliceId slice = sliceOf(addr);
@@ -174,7 +169,7 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
                 return static_cast<std::uint64_t>(ch->queueDepth());
             });
             // Gauges read the barrier clock (simNow_): they are polled
-            // by the epoch leader while every domain is parked, and
+            // at the epoch barrier while every domain is parked, and
             // individual domain clocks may legitimately lag the
             // barrier when idle.
             prof->addGauge(strCat("dram.ch", c, ".busy_banks"),
@@ -262,10 +257,10 @@ GpuSystem::anyStagedStores() const
 void
 GpuSystem::applyStagedStores()
 {
-    // Write-generation bumps must happen in a canonical order — two SMs
-    // storing to the same sector in one epoch race otherwise — so the
-    // leader commits every staged store sorted by (issue cycle, source
-    // domain, lane index), identical at any --shards value.
+    // Write-generation bumps must happen in issue order — two SMs
+    // storing to the same sector in one epoch would otherwise commit
+    // in domain drain order — so the barrier commits every staged
+    // store sorted by (issue cycle, source domain, lane index).
     applyStagedInOrder(
         storeStage_, storeOrder_,
         [](const StagedStore &s) { return s.cycle; },
@@ -362,53 +357,25 @@ GpuSystem::run(const KernelTrace &trace)
     const Cycle prof_interval =
         prof ? std::max<Cycle>(config_.telemetry.profileInterval, 1) : 0;
 
-    // Deterministic sharded execution (see DESIGN.md §8.10).
+    // Deterministic domain/epoch execution (see DESIGN.md §8.10).
     //
     // Every domain drains its private queue up to a shared epoch
-    // boundary, then the leader — alone, with all domains parked —
-    // performs all cross-domain work in canonical order: crossbar
-    // arbitration (by send cycle, source domain, source seq) and store
-    // commits (same key). The epoch length equals the crossbar latency
-    // (minimum 1), so every cross-domain delivery lands strictly inside
-    // a later epoch of its destination: a send at cycle s in the epoch
-    // covering [kE, kE+E-1] delivers at >= s+E >= (k+1)E, past that
-    // epoch's barrier at (k+1)E-1. With the domain decomposition and
-    // barrier schedule fixed, execution is bit-identical at every
-    // --shards value.
+    // boundary, then the barrier performs all cross-domain work in
+    // canonical order: crossbar arbitration (by send cycle, source
+    // domain, source seq) and store commits (same key). The epoch
+    // length equals the crossbar latency (minimum 1), so every
+    // cross-domain delivery lands strictly inside a later epoch of its
+    // destination: a send at cycle s in the epoch covering
+    // [kE, kE+E-1] delivers at >= s+E >= (k+1)E, past that epoch's
+    // barrier at (k+1)E-1. The decomposition and this barrier schedule
+    // are the timing semantics the golden digest pins.
     //
     // Store commits additionally apply only at *canonical* boundaries
     // (cycle (k+1)E-1), never at observer-inserted ones, so enabling
     // the sampler/profiler/progress heartbeat stays timing-neutral.
     const Cycle epoch = std::max<Cycle>(1, config_.xbarLatency);
     constexpr Cycle kNever = EventQueue::kNoEventCycle;
-    ShardPool pool(std::min<unsigned>(std::max(1u, shards_), numDomains_));
-    verify::Listener *raw_listener = verify::activeListener();
-    std::optional<SerializedListener> serialized;
-    if (pool.threads() > 1 && raw_listener) {
-        serialized.emplace(raw_listener);
-        pool.setListener(&*serialized);
-    }
-    // The leader executes domain events too; route its hooks through
-    // the same serialized funnel as the helper threads.
-    verify::ScopedListener listener_guard(
-        serialized ? &*serialized : raw_listener);
-
-    std::vector<std::uint32_t> runnable;
     std::vector<Cycle> next_at(numDomains_, kNever);
-    // Per-domain result flags, one cache line each: domains on
-    // different threads write them concurrently.
-    struct alignas(64) DomainOk
-    {
-        bool ok = true;
-    };
-    std::vector<DomainOk> ok(numDomains_);
-    Cycle limit = 0;
-    ShardPool::TaskFn epoch_task = [this, &ok, &limit](std::uint32_t d) {
-        ScopedSimDomain scope(static_cast<std::int32_t>(d),
-                              queues_[d].get());
-        CC_HOST_ZONE("shard.run_epoch");
-        ok[d].ok = queues_[d]->runUntil(limit);
-    };
     Cycle close_floor = 0;
     auto close_sampler = [this, &close_floor](Cycle at) {
         if (sampler_ && at >= close_floor) {
@@ -421,7 +388,7 @@ GpuSystem::run(const KernelTrace &trace)
         CC_HOST_ZONE_COUNTED("engine.drain");
         while (true) {
             // One poll per domain per epoch: nothing runs between here
-            // and the runnable pass below, which reuses these values.
+            // and the drain pass below, which reuses these values.
             Cycle earliest = kNever;
             for (std::uint32_t d = 0; d < numDomains_; ++d) {
                 next_at[d] = queues_[d]->nextAt();
@@ -440,10 +407,10 @@ GpuSystem::run(const KernelTrace &trace)
             // skipped wholesale — clamped to the next canonical
             // boundary while stores are staged, and to any observer
             // boundary.
-            Cycle next = (earliest / epoch) * epoch + (epoch - 1);
+            Cycle limit = (earliest / epoch) * epoch + (epoch - 1);
             if (anyStagedStores())
-                next = std::min(next,
-                                (simNow_ / epoch) * epoch + (epoch - 1));
+                limit = std::min(limit,
+                                 (simNow_ / epoch) * epoch + (epoch - 1));
             const Cycle sample_at =
                 sampler_ ? sampler_->nextBoundary(simNow_) : kNever;
             const Cycle profile_at =
@@ -454,21 +421,20 @@ GpuSystem::run(const KernelTrace &trace)
                     ? (simNow_ / progressInterval_ + 1) *
                           progressInterval_
                     : kNever;
-            next = std::min({next, sample_at, profile_at, progress_at});
+            limit = std::min({limit, sample_at, profile_at, progress_at});
 
-            limit = next;
-            runnable.clear();
             for (std::uint32_t d = 0; d < numDomains_; ++d) {
-                if (next_at[d] <= limit)
-                    runnable.push_back(d);
-            }
-            pool.run(runnable, epoch_task);
-            for (const std::uint32_t d : runnable) {
-                if (!ok[d].ok)
+                if (next_at[d] > limit)
+                    continue;
+                ScopedSimDomain scope(static_cast<std::int32_t>(d),
+                                      queues_[d].get());
+                if (!queues_[d]->runUntil(limit))
                     panic(what);
             }
 
-            // ---- epoch barrier: leader only, all domains parked ----
+            // ---- epoch barrier: every domain parked at limit ----
+            // (The zone keeps its historical name: perfbench's
+            // zone.barrier_share reads it.)
             CC_HOST_ZONE("shard.barrier");
             simNow_ = limit;
             reqXbar_->applyStaged();

@@ -143,7 +143,7 @@ class GpuSystem
      * @param arenas optional externally owned slab-arena pool (the
      * campaign runner reuses one pool per worker thread across
      * points); defaults to an instance owned by this system. The pool
-     * holds one EngineArenas bundle per shard domain.
+     * holds one EngineArenas bundle per engine domain.
      */
     explicit GpuSystem(const SystemConfig &config,
                        EngineArenaPool *arenas = nullptr);
@@ -171,16 +171,12 @@ class GpuSystem
     }
 
     /**
-     * Number of worker threads run() shards the machine across
-     * (default 1 = everything on the calling thread). Execution is
-     * bit-identical at every value: the engine always runs the same
-     * fixed domain decomposition (one event queue per SM and per
-     * L2-slice/DRAM-channel pair) with the same epoch-barrier
-     * schedule; --shards only chooses how many threads drain those
-     * domains between barriers. Values above the domain count are
-     * clamped. Call before run().
+     * No-op, kept for source compatibility with callers written when
+     * run() could spread domains over threads. run() always drains the
+     * fixed domains on the calling thread; campaigns get parallelism
+     * from running points concurrently (RunnerOptions::jobs).
      */
-    void setShards(unsigned shards) { shards_ = shards ? shards : 1; }
+    void setShards(unsigned) {}
 
     /**
      * Initialize the trace's regions (golden data + encoded DRAM
@@ -290,7 +286,7 @@ class GpuSystem
     /** True if any SM domain has uncommitted staged stores. */
     bool anyStagedStores() const;
 
-    /** Leader-only: commit staged stores in canonical order. */
+    /** Barrier-only: commit staged stores in canonical order. */
     void applyStagedStores();
 
     SystemConfig config_;
@@ -318,7 +314,6 @@ class GpuSystem
     std::vector<StagedKey> storeOrder_; //!< applyStagedStores scratch
     bool initialized_ = false;
     bool ran_ = false;
-    unsigned shards_ = 1;
     /** Barrier clock for occupancy gauges (domain clocks may lag). */
     Cycle simNow_ = 0;
     /** @{ Progress heartbeat (see setProgress). */

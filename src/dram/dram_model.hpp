@@ -165,7 +165,7 @@ class DramSystem
                telemetry::Telemetry *telemetry = nullptr);
 
     /**
-     * Sharded wiring: channel @p c runs on @p channel_queues[c] (its
+     * Domain wiring: channel @p c runs on @p channel_queues[c] (its
      * domain's private queue). Backing storage is per-channel either
      * way, so a channel's functional reads/writes never touch another
      * domain's state.

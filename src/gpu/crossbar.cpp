@@ -71,11 +71,11 @@ Crossbar::send(unsigned port, SmallFn fn, std::uint64_t trace_id,
                   0, 0);
         return;
     }
-    // Router mode: stage under the sending domain. Thread-owned lane,
-    // so no locking; the leader merges canonically at the barrier.
+    // Router mode: stage under the sending domain; the barrier merges
+    // canonically.
     if (tlsSimDomain < 0 ||
         static_cast<std::size_t>(tlsSimDomain) >= staged_.size())
-        panic("router-mode crossbar send outside a shard domain");
+        panic("router-mode crossbar send outside an engine domain");
     staged_[static_cast<std::size_t>(tlsSimDomain)].items.push_back(
         Staged{std::move(fn), tlsSimQueue->now(), trace_id, port,
                response});

@@ -13,17 +13,17 @@
  *   behaviour unit tests and standalone components use.
  *
  *   Router (setRouter()): the crossbar is the only cross-domain edge
- *   of a sharded run. send() — called from the *sending* domain's
- *   event execution — only stages the message in a per-source-domain
- *   buffer (thread-owned, no synchronization). At every epoch barrier
- *   the leader calls applyStaged(), which arbitrates all staged
- *   messages in canonical (send cycle, source domain, source seq)
- *   order and posts each to its destination port's domain queue via
+ *   of the domain/epoch engine. send() — called from the *sending*
+ *   domain's event execution — only stages the message in a
+ *   per-source-domain buffer. At every epoch barrier GpuSystem::run
+ *   calls applyStaged(), which arbitrates all staged messages in
+ *   canonical (send cycle, source domain, source seq) order and posts
+ *   each to its destination port's domain queue via
  *   EventQueue::postMessage. The canonical order makes port
- *   arbitration, contention stats, and delivery times bit-identical
- *   at any --shards value; the epoch length (<= crossbar latency)
- *   guarantees every delivery lands strictly in the destination's
- *   future.
+ *   arbitration, contention stats, and delivery times independent of
+ *   the order in which domains were drained; the epoch length
+ *   (<= crossbar latency) guarantees every delivery lands strictly in
+ *   the destination's future.
  */
 
 #ifndef CACHECRAFT_GPU_CROSSBAR_HPP
@@ -77,7 +77,7 @@ class Crossbar
               bool response = false);
 
     /**
-     * Router mode, leader-only: arbitrate every staged message in
+     * Router mode, barrier-only: arbitrate every staged message in
      * canonical (send cycle, source domain, source seq) order and post
      * it to its destination domain queue. Called at every epoch
      * barrier, while all domains are parked.

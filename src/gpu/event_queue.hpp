@@ -28,18 +28,17 @@
  * words after now's, else wrapped to the start of the wheel) and one
  * on the chosen word.
  *
- * Sharded runs add a second ingress: postMessage() delivers a
- * cross-domain message (a crossbar hop from another shard domain)
+ * The domain/epoch engine adds a second ingress: postMessage()
+ * delivers a cross-domain message (a crossbar hop from another domain)
  * into a small inbox heap of canonical
  * (delivery cycle, send cycle, source domain, source seq) keys; each
  * key names a slab node holding the message's callback, so heap moves
  * shuffle 32-byte keys, never callbacks.
  * Messages for cycle D execute *before* D's wheel bucket, in key
- * order — a total order independent of which thread staged what when,
- * so execution is bit-identical at any --shards value. Only the epoch
- * leader posts, and only while this queue's domain is parked at a
- * barrier, so the inbox needs no locking; deliveries must be strictly
- * in this queue's future.
+ * order — a total order independent of the order in which domains
+ * were drained. Only the epoch barrier posts, while this queue's
+ * domain is parked; deliveries must be strictly in this queue's
+ * future.
  */
 
 #ifndef CACHECRAFT_GPU_EVENT_QUEUE_HPP
@@ -98,7 +97,7 @@ class EventQueue
      * Deliver a cross-domain message: run @p fn at cycle @p when
      * (strictly after now()), ordered against other messages by the
      * canonical (when, sent, src, seq) key and before any wheel-bucket
-     * event of cycle @p when. Leader-only; see file comment.
+     * event of cycle @p when. Barrier-only; see file comment.
      */
     void
     postMessage(Cycle when, Cycle sent, std::uint32_t src,
@@ -228,7 +227,7 @@ class EventQueue
 
     /**
      * Earliest pending cycle (wheel, far heap, or inbox), or
-     * kNoEventCycle when drained. The epoch leader polls this to skip
+     * kNoEventCycle when drained. The epoch loop polls this to skip
      * idle domains and to compute the global skip-ahead target.
      */
     Cycle

@@ -89,9 +89,10 @@ class HistogramStat
     /**
      * Integral accumulators (samples are integers), so the summary a
      * histogram reports is exactly order-independent — floating-point
-     * accumulation would make the mean/stddev of a sharded run depend
-     * on which interleaving fed the samples. 128 bits absorbs 2^64
-     * samples of any uint64 value without overflow in sum_; for
+     * sums would round differently depending on the order samples
+     * arrive in, and the golden digest pins the exact values. 128
+     * bits absorbs 2^64 samples of any uint64 value without overflow
+     * in sum_; for
      * sumSquares_ that headroom holds for samples up to 2^32 (every
      * histogram here records latencies/depths, far below that).
      */

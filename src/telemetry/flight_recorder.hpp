@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -101,17 +100,13 @@ class FlightRecorder
     explicit FlightRecorder(std::size_t capacity);
 
     /** Push one causal edge. Hot path: no allocation, no branches
-     *  beyond the ring wrap (plus an uncontended lock — sharded
-     *  domains record concurrently; the retained count and dropped
-     *  total stay deterministic because the recorded multiset is,
-     *  while record *order* — hence the binary dump — is only
-     *  deterministic at --shards 1). */
+     *  beyond the ring wrap. One engine thread drives each run, so
+     *  record order — hence the binary dump — is deterministic. */
     void
     record(RecordKind kind, std::uint64_t id, Cycle at,
            std::uint64_t addr = 0, std::uint32_t a = 0,
            std::uint16_t b = 0, std::uint8_t flags = 0)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
         if (count_ == ring_.size())
             ++dropped_;
         else
@@ -146,7 +141,6 @@ class FlightRecorder
     void writeBinary(std::ostream &os) const;
 
   private:
-    std::mutex mutex_;
     std::vector<FlightRecord> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;

@@ -5,9 +5,8 @@
  *
  * Every other profiler in this repo attributes *simulated* cycles;
  * this one attributes the *host* wall-clock the simulator spends per
- * subsystem, which is the data the intra-run-parallelism work needs
- * before any engine sharding can be judged. Instrumented code drops
- * RAII zones on the (per-thread) call stack:
+ * subsystem. Instrumented code drops RAII zones on the (per-thread)
+ * call stack:
  *
  *   CC_HOST_ZONE("l2.read");          // timing only, ~tens of ns
  *   CC_HOST_ZONE_COUNTED("engine.drain");  // + HW counter deltas

@@ -57,18 +57,15 @@ Profiler::sampleOccupancy()
 void
 Profiler::recordRowAccess(std::uint64_t row_key)
 {
-    // Commutative sums into a map read only after the run; the lock
-    // (shared with sectors) only keeps concurrent domain threads from
-    // corrupting the containers. rank() sorts, so report output is
-    // independent of both arrival order and hash iteration order.
-    std::lock_guard<std::mutex> lock(hotMutex_);
+    // Commutative sums into a map read only after the run. rank()
+    // sorts, so report output is independent of both arrival order and
+    // hash iteration order.
     rowCounts_[row_key]++;
 }
 
 void
 Profiler::recordSectorAccess(std::uint64_t sector_addr)
 {
-    std::lock_guard<std::mutex> lock(hotMutex_);
     sectorCounts_[sector_addr]++;
 }
 

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -105,7 +104,6 @@ class Profiler
     StatRegistry *stats_ = nullptr;
     std::vector<Gauge> gauges_;
     Counter samples_;
-    std::mutex hotMutex_; //!< guards the two hot-access maps
     std::unordered_map<std::uint64_t, std::uint64_t> rowCounts_;
     std::unordered_map<std::uint64_t, std::uint64_t> sectorCounts_;
 };

@@ -18,7 +18,6 @@
 #ifndef CACHECRAFT_TELEMETRY_TELEMETRY_HPP
 #define CACHECRAFT_TELEMETRY_TELEMETRY_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -91,13 +90,8 @@ class Telemetry
      */
     bool active() const { return recorder() != nullptr; }
 
-    /** Allocate a fresh request id (never 0; thread-safe — sharded
-     *  domains mint ids concurrently, and ids only need uniqueness). */
-    std::uint64_t
-    newId()
-    {
-        return lastId_.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
+    /** Allocate a fresh request id (never 0). */
+    std::uint64_t newId() { return ++lastId_; }
 
     /**
      * The occupancy/hot-key profiler, or nullptr when profiling is off
@@ -144,7 +138,7 @@ class Telemetry
     std::unique_ptr<Profiler> profiler_;
     std::unique_ptr<FlightRecorder> recorder_;
     std::unique_ptr<ReuseProfiler> reuse_;
-    std::atomic<std::uint64_t> lastId_{0};
+    std::uint64_t lastId_ = 0;
     /** True when this hub holds one HostProfiler reference. */
     bool hostRetained_ = false;
 };

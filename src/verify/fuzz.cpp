@@ -147,11 +147,6 @@ generateCase(std::uint64_t seed, SchemeKind scheme)
     c.regionBase = rng.below(8) * kChunkBytes;
     c.regionBytes = kRegionSizes[rng.below(std::size(kRegionSizes))];
     c.tag = static_cast<std::uint8_t>(1 + rng.below(3));
-    // Half the cases exercise the sharded engine (and its
-    // sharded-vs-serial cross-check); 1 SM + 1 channel = 2 domains, so
-    // 2..3 threads already cover the interesting oversubscription.
-    c.shards = rng.below(2) ? 1u + static_cast<unsigned>(rng.below(3))
-                            : 1u;
 
     const unsigned numWarps = 1 + static_cast<unsigned>(rng.below(4));
     const std::size_t numAccesses = 4 + rng.below(61); // 4..64
@@ -210,7 +205,6 @@ runCase(const FuzzCase &c, const std::string &flight_dump_path)
     const KernelTrace trace = c.toTrace();
 
     GpuSystem gpu(cfg);
-    gpu.setShards(std::max(1u, c.shards));
     const auto codec = ecc::makeCodec(c.codec);
     GoldenOracle oracle(codec.get());
     InvariantChecker invariants;
@@ -238,40 +232,6 @@ runCase(const FuzzCase &c, const std::string &flight_dump_path)
     }
 
     const RunStats rs = gpu.run(trace);
-
-    // Differential determinism check: a sharded case must reproduce
-    // the serial run bit for bit. The reference runs with no listener
-    // (the oracle already watched the primary) and compares the full
-    // flattened stat map plus the cycle count.
-    if (c.shards > 1) {
-        GpuSystem ref(cfg);
-        ScopedListener silent(nullptr);
-        ref.initialize(trace);
-        for (const FaultPlan &plan : c.faults)
-            FaultInjector::apply(ref, plan);
-        const RunStats ref_rs = ref.run(trace);
-        if (rs.cycles != ref_rs.cycles) {
-            result.violations.push_back(
-                strCat("shard-mismatch: cycles ", rs.cycles,
-                       " (shards=", c.shards, ") != ", ref_rs.cycles,
-                       " (serial)"));
-        }
-        for (const auto &[name, value] : rs.all) {
-            const auto it = ref_rs.all.find(name);
-            if (it == ref_rs.all.end() || it->second != value) {
-                result.violations.push_back(strCat(
-                    "shard-mismatch: stat ", name, " = ", value,
-                    " (shards=", c.shards, ") != ",
-                    it == ref_rs.all.end() ? -1.0 : it->second,
-                    " (serial)"));
-                if (result.violations.size() >= 16)
-                    break;
-            }
-        }
-        if (rs.all.size() != ref_rs.all.size())
-            result.violations.push_back(
-                "shard-mismatch: stat sets differ in size");
-    }
 
     if (!flight_dump_path.empty()) {
         if (const telemetry::FlightRecorder *fr =
@@ -367,7 +327,6 @@ minimizeCase(const FuzzCase &failing, unsigned *runs_out)
                            static_cast<std::ptrdiff_t>(i));
         });
     }
-    tryReduce([](FuzzCase &x) { x.shards = 1; });
     tryReduce([](FuzzCase &x) { x.numSms = 1; });
     tryReduce([](FuzzCase &x) { x.numChannels = 1; });
     tryReduce([](FuzzCase &x) {
@@ -433,7 +392,6 @@ toJson(const FuzzCase &c)
     w.key("region_bytes").value(std::uint64_t{c.regionBytes});
     w.key("tag").value(std::uint64_t{c.tag});
     w.key("plant_mrc_stale_meta_bug").value(c.plantMrcStaleMetaBug);
-    w.key("shards").value(std::uint64_t{c.shards});
     w.key("accesses").beginArray();
     for (const FuzzAccess &a : c.accesses) {
         w.beginObject();
@@ -595,12 +553,6 @@ fromJson(std::string_view text, FuzzCase *out, std::string *error)
     if (!readBool(root, "plant_mrc_stale_meta_bug", &c.plantMrcStaleMetaBug,
                   error))
         return false;
-    // Optional (added after v1 reproducers); absent means serial.
-    if (root.find("shards") != nullptr) {
-        if (!readU64(root, "shards", &u, error))
-            return false;
-        c.shards = std::max<unsigned>(1, static_cast<unsigned>(u));
-    }
 
     const JsonValue *accessesV = root.find("accesses");
     if (!accessesV || !accessesV->isArray())

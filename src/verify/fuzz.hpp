@@ -72,16 +72,6 @@ struct FuzzCase
     /** Enable MrcOptions::plantStaleMetaBug (self-test of the rig). */
     bool plantMrcStaleMetaBug = false;
 
-    /**
-     * Engine shard threads to run the case under (default 1 =
-     * serial). When > 1, runCase() executes the case twice — sharded
-     * and serial — and reports any divergence in cycles or final
-     * stats as a "shard-mismatch" violation, making the determinism
-     * contract itself a fuzzed property. Optional in reproducer JSON
-     * (older reproducers replay serial).
-     */
-    unsigned shards = 1;
-
     /** The SystemConfig this case describes (small machine). */
     SystemConfig toConfig() const;
 

@@ -29,12 +29,24 @@ expect_usage_error(1 "${SIM_TOOL}" --warps abc)
 # cachecraft_sweep reserves exit 1 for failed points; 2 is usage.
 expect_usage_error(2 "${SWEEP_TOOL}" --jobs two spec.json)
 
-# --shards 0 parses but names no thread: exit 1 with a message.
-foreach(tool SIM_TOOL HOSTPROF_TOOL)
-    execute_process(COMMAND "${${tool}}" --shards 0
-                    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
-    if(NOT rc STREQUAL "1" OR NOT err MATCHES "--shards must be positive")
-        message(FATAL_ERROR
-                "${${tool}} --shards 0: exited ${rc}, want 1:\n${err}")
+# A cache geometry that cannot exist is rejected before the run prints
+# anything: exit 1, the L2/MRC message on stderr, no configuration block.
+function(expect_geometry_error want_msg)
+    execute_process(COMMAND ${ARGN}
+                    RESULT_VARIABLE rc ERROR_VARIABLE err
+                    OUTPUT_VARIABLE out)
+    if(NOT rc STREQUAL "1")
+        message(FATAL_ERROR "${ARGN}: exited ${rc}, want 1:\n${err}")
     endif()
-endforeach()
+    if(NOT err MATCHES "${want_msg}")
+        message(FATAL_ERROR "${ARGN}: no \"${want_msg}\" on stderr:\n${err}")
+    endif()
+    if(out MATCHES "--- configuration ---")
+        message(FATAL_ERROR "${ARGN}: printed the configuration first")
+    endif()
+endfunction()
+
+expect_geometry_error("L2 geometry:" "${SIM_TOOL}" --l2-kib 3)
+expect_geometry_error("L2 geometry:" "${SIM_TOOL}" --l2-kib 0)
+expect_geometry_error("MRC geometry:"
+                      "${HOSTPROF_TOOL}" --mrc-kib 3 --scheme cachecraft)

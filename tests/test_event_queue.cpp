@@ -495,7 +495,7 @@ TEST(EventQueue, MatchesReferenceModelOnRandomSchedules)
             }
             // Drain through randomized runUntil slices to exercise
             // clock jumps and mid-bucket stops; between slices, post
-            // a few messages as the epoch leader would, some tying
+            // a few messages as the epoch barrier would, some tying
             // with scheduled events and with each other on cycle.
             Cycle limit = 0;
             while (!q.empty()) {

@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the binary flight recorder: ring mechanics (oldest-drop
- * overflow with exact accounting), snapshot ordering, and the binary
- * dump format's round-trip and rejection behavior.
+ * overflow with exact accounting), snapshot ordering, the binary
+ * dump format's round-trip and rejection behavior, and byte-identical
+ * dumps from repeated simulator runs.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,9 @@
 #include <sstream>
 #include <string>
 
+#include "core/gpu_system.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "workloads/workloads.hpp"
 
 namespace cachecraft::telemetry {
 namespace {
@@ -226,6 +229,45 @@ TEST(FlightDump, RejectsHostileRecordCounts)
         EXPECT_FALSE(readFlightDump(buf, &dump, &error)) << c.count;
         EXPECT_EQ(error, c.diagnostic) << c.count;
     }
+}
+
+/** The flight dump of one small random/cachecraft run. */
+std::string
+randomCachecraftDump()
+{
+    SystemConfig cfg;
+    cfg.scheme = SchemeKind::kCacheCraft;
+    cfg.dram.channelCapacity = 64 * 1024 * 1024;
+    cfg.l2.cache.sizeBytes = 64 * 1024;
+    cfg.telemetry.flightRecorderEnabled = true;
+    WorkloadParams wp;
+    wp.footprintBytes = 512 * 1024;
+    wp.numWarps = 32;
+    wp.memInstsPerWarp = 16;
+    GpuSystem gpu(cfg);
+    gpu.run(makeWorkload(WorkloadKind::kRandomAccess, wp));
+    const FlightRecorder *fr = gpu.telemetry().recorder();
+    if (!fr)
+        return {};
+    std::ostringstream out(std::ios::binary);
+    fr->writeBinary(out);
+    return out.str();
+}
+
+// One engine thread drives each run, so the recorded order — and with
+// it every byte of the dump — repeats exactly from run to run.
+TEST(FlightDump, RepeatedRunsWriteIdenticalBytes)
+{
+    if (!kTraceCompiledIn)
+        GTEST_SKIP() << "tracing compiled out";
+    const std::string first = randomCachecraftDump();
+    const std::string second = randomCachecraftDump();
+    std::stringstream buf(first, std::ios::in | std::ios::binary);
+    FlightDump dump;
+    std::string error;
+    ASSERT_TRUE(readFlightDump(buf, &dump, &error)) << error;
+    EXPECT_GT(dump.records.size(), 1000u);
+    EXPECT_TRUE(first == second) << "flight dumps differ";
 }
 
 } // namespace

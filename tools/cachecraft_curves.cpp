@@ -204,6 +204,9 @@ main(int argc, char **argv)
         }
     }
 
+    if (const std::string error = config.geometryError(); !error.empty())
+        fatal(error);
+
     if (!telemetry::kTraceCompiledIn) {
         std::fprintf(stderr,
                      "cachecraft_curves: tracing was compiled out "

@@ -65,10 +65,6 @@ usage()
         "  --sms N             SM count (default 16)\n"
         "  --l2-kib N          L2 KiB per slice (default 512)\n"
         "  --mrc-kib N         MRC KiB per slice (default 16)\n"
-        "  --shards N          engine worker threads (default 1); a\n"
-        "                      sharded profile splits engine.drain\n"
-        "                      into shard.run_epoch, shard.wait and\n"
-        "                      shard.barrier\n"
         "\n"
         "campaign mode:\n"
         "  --campaign FILE     profile a whole campaign spec instead\n"
@@ -182,7 +178,6 @@ main(int argc, char **argv)
     std::string campaign_path;
     std::string out_dir;
     unsigned jobs = 1;
-    unsigned shards = 1;
     std::string json_path;
     std::string folded_path;
     std::string svg_path;
@@ -227,10 +222,6 @@ main(int argc, char **argv)
             config.l2.cache.sizeBytes = args.bytes(i, 1024);
         } else if (flag == "--mrc-kib") {
             config.mrc.sizeBytes = args.bytes(i, 1024);
-        } else if (flag == "--shards") {
-            shards = args.count<unsigned>(i);
-            if (shards == 0)
-                fatal("--shards must be positive");
         } else if (flag == "--campaign") {
             campaign_path = args.value(i);
         } else if (flag == "--out") {
@@ -254,6 +245,9 @@ main(int argc, char **argv)
             fatal("unknown flag: " + flag);
         }
     }
+
+    if (const std::string error = config.geometryError(); !error.empty())
+        fatal(error);
 
     if (!telemetry::kTraceCompiledIn) {
         std::fprintf(stderr,
@@ -315,7 +309,6 @@ main(int argc, char **argv)
         const auto start = std::chrono::steady_clock::now();
         {
             GpuSystem gpu(config);
-            gpu.setShards(shards);
             gpu.run(makeWorkload(workload, wparams));
             gpu.auditMemory();
         }
@@ -326,7 +319,6 @@ main(int argc, char **argv)
         artifact.config.emplace_back("workload", toString(workload));
         artifact.config.emplace_back("scheme",
                                      toString(config.scheme));
-        artifact.config.emplace_back("shards", std::to_string(shards));
         artifact.config.emplace_back("summary", config.summary());
         title = strCat("hostprof: ", toString(workload), " / ",
                        toString(config.scheme));

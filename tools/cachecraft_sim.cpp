@@ -108,16 +108,7 @@ usage()
         "  --progress N        heartbeat: print cycles and events/s to\n"
         "                      stderr every N simulated cycles (off by\n"
         "                      default; output is stderr-only so\n"
-        "                      reports stay byte-identical)\n"
-        "  --shards N          engine worker threads (default 1). The\n"
-        "                      run is bit-identical at every value —\n"
-        "                      the engine always executes the same\n"
-        "                      fixed domain decomposition under the\n"
-        "                      same epoch-barrier schedule; this only\n"
-        "                      sets how many threads drain it. The\n"
-        "                      thread count is clamped to the domain\n"
-        "                      count (SMs + DRAM channels) and to the\n"
-        "                      machine's hardware threads\n");
+        "                      reports stay byte-identical)\n");
 }
 
 std::optional<SchemeKind>
@@ -185,7 +176,6 @@ main(int argc, char **argv)
     std::string flight_path;
     std::string host_profile_path;
     Cycle progress_interval = 0;
-    unsigned shards = 1;
     bool want_energy = false;
     bool quiet = false;
     bool list_stats = false;
@@ -284,10 +274,6 @@ main(int argc, char **argv)
             progress_interval = args.count(i);
             if (progress_interval == 0)
                 fatal("--progress must be positive");
-        } else if (flag == "--shards") {
-            shards = args.count<unsigned>(i);
-            if (shards == 0)
-                fatal("--shards must be positive");
         } else if (flag == "--log-level") {
             const auto level = parseLogLevel(args.value(i));
             if (!level)
@@ -303,6 +289,9 @@ main(int argc, char **argv)
             return 1;
         }
     }
+
+    if (const std::string error = config.geometryError(); !error.empty())
+        fatal(error);
 
     if (list_stats) {
         // Stat registration happens at construction, so the sorted
@@ -366,7 +355,6 @@ main(int argc, char **argv)
 
     const auto prof_start = std::chrono::steady_clock::now();
     GpuSystem gpu(config);
-    gpu.setShards(shards);
     const auto wall_start = std::chrono::steady_clock::now();
     if (progress_interval > 0) {
         gpu.setProgress(

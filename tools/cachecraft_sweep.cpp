@@ -46,9 +46,6 @@ usage()
         "  --jobs N            worker threads (default: hardware\n"
         "                      concurrency; report bytes do not depend\n"
         "                      on N)\n"
-        "  --shards N          engine threads within each point\n"
-        "                      (default 1; composes with --jobs;\n"
-        "                      report bytes do not depend on N)\n"
         "  --point-timeout S   record points running longer than S\n"
         "                      wall seconds as \"timeout\" (default:\n"
         "                      unlimited)\n"
@@ -83,13 +80,6 @@ main(int argc, char **argv)
             options.outDir = args.value(i);
         } else if (flag == "--jobs") {
             options.jobs = args.count<unsigned>(i);
-        } else if (flag == "--shards") {
-            options.shards = args.count<unsigned>(i);
-            if (options.shards == 0) {
-                std::fprintf(stderr, "cachecraft_sweep: --shards "
-                                     "must be positive\n");
-                return 2;
-            }
         } else if (flag == "--point-timeout") {
             options.pointTimeoutSeconds = args.real(i);
         } else if (flag == "--dry-run") {
