@@ -34,6 +34,9 @@ SectoredCache::SectoredCache(std::string name, const CacheParams &params,
         fatal(error);
     numSets_ = params_.sizeBytes / (params_.lineBytes * params_.assoc);
     sectorsPerLine_ = params_.lineBytes / params_.sectorBytes;
+    // cacheGeometryError() guarantees powers of two: index by shifts.
+    lineShift_ = log2Floor(params_.lineBytes);
+    sectorShift_ = log2Floor(params_.sectorBytes);
 
     ways_.resize(numSets_ * params_.assoc);
     repl_ = makeReplacementPolicy(params_.repl, numSets_, params_.assoc,
@@ -57,8 +60,8 @@ SectoredCache::SectoredCache(std::string name, const CacheParams &params,
 std::size_t
 SectoredCache::setIndex(Addr line_addr) const
 {
-    return static_cast<std::size_t>(
-        (line_addr / params_.lineBytes) & (numSets_ - 1));
+    return static_cast<std::size_t>((line_addr >> lineShift_) &
+                                    (numSets_ - 1));
 }
 
 int
@@ -76,9 +79,7 @@ SectoredCache::findWay(std::size_t set, Addr line_addr) const
 SectorMask
 SectoredCache::sectorBit(Addr addr) const
 {
-    const std::size_t idx =
-        offsetIn(addr, params_.lineBytes) / params_.sectorBytes;
-    return static_cast<SectorMask>(1u << idx);
+    return static_cast<SectorMask>(1u << sectorIndex(addr));
 }
 
 CacheAccessResult
@@ -105,8 +106,7 @@ SectoredCache::access(Addr addr, bool is_write)
     const std::size_t set = setIndex(line);
     const int w = findWay(set, line);
     CacheAccessResult res;
-    const unsigned sector = static_cast<unsigned>(
-        offsetIn(addr, params_.lineBytes) / params_.sectorBytes);
+    const unsigned sector = sectorIndex(addr);
     if (w < 0) {
         statLineMisses.inc();
         if (observer_)

@@ -206,11 +206,20 @@ class SectoredCache
     /** Find the way holding @p line_addr in @p set; -1 if absent. */
     int findWay(std::size_t set, Addr line_addr) const;
     SectorMask sectorBit(Addr addr) const;
+    /** Sector of @p addr within its line. */
+    unsigned
+    sectorIndex(Addr addr) const
+    {
+        return static_cast<unsigned>((addr & (params_.lineBytes - 1)) >>
+                                     sectorShift_);
+    }
 
     std::string name_;
     CacheParams params_;
     std::size_t numSets_;
     std::size_t sectorsPerLine_;
+    unsigned lineShift_;   //!< log2(lineBytes)
+    unsigned sectorShift_; //!< log2(sectorBytes)
     std::vector<Way> ways_; // numSets_ * assoc, row-major by set
     std::unique_ptr<ReplacementPolicy> repl_;
     CacheEventObserver *observer_ = nullptr;

@@ -43,20 +43,22 @@ SystemConfig::effectiveLayout() const
 void
 SystemConfig::validate() const
 {
-    if (numSms == 0)
-        fatal("numSms must be positive");
-    if (dram.numChannels == 0)
-        fatal("at least one DRAM channel required");
-    if (sm.l1.lineBytes != kLineBytes || l2.cache.lineBytes != kLineBytes)
-        fatal("L1/L2 must use the canonical 128 B line");
-    if (sm.l1.sectorBytes != kSectorBytes ||
-        l2.cache.sectorBytes != kSectorBytes)
-        fatal("L1/L2 must use the canonical 32 B sector");
+    if (const std::string error = geometryError(); !error.empty())
+        fatal(error);
 }
 
 std::string
 SystemConfig::geometryError() const
 {
+    if (numSms == 0)
+        return "numSms must be positive";
+    if (dram.numChannels == 0)
+        return "at least one DRAM channel required";
+    if (sm.l1.lineBytes != kLineBytes || l2.cache.lineBytes != kLineBytes)
+        return "L1/L2 must use the canonical 128 B line";
+    if (sm.l1.sectorBytes != kSectorBytes ||
+        l2.cache.sectorBytes != kSectorBytes)
+        return "L1/L2 must use the canonical 32 B sector";
     if (std::string e = cacheGeometryError(l2.cache); !e.empty())
         return "L2 geometry: " + e;
     if (scheme == SchemeKind::kEccCache || scheme == SchemeKind::kCacheCraft) {

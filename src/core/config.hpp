@@ -66,15 +66,17 @@ struct SystemConfig
     /** The ECC layout this configuration implies. */
     EccLayout effectiveLayout() const;
 
-    /** Sanity-check invariants; calls fatal() on bad configs. */
+    /** fatal() with geometryError() if it is non-empty. */
     void validate() const;
 
     /**
-     * Why the caches a GpuSystem built from this config would build
-     * cannot exist ("L2 geometry: …" / "MRC geometry: …", see
-     * cacheGeometryError), or empty. The cache constructors fatal()
-     * on these, so entry points check first. The MRC is checked only
-     * for schemes that build it.
+     * Why a GpuSystem cannot be built from this config, or empty: no
+     * SMs or no DRAM channels, a non-canonical L1/L2 line or sector,
+     * or caches that cannot exist ("L2 geometry: …" / "MRC geometry:
+     * …", see cacheGeometryError; the MRC is checked only for schemes
+     * that build it). GpuSystem's constructor fatal()s on these, so
+     * entry points check first and reject the config before any
+     * output.
      */
     std::string geometryError() const;
 

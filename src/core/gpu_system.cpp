@@ -233,10 +233,7 @@ GpuSystem::pattern(Addr sector_addr, std::uint64_t generation)
 void
 GpuSystem::onStore(Addr sector_addr)
 {
-    const Addr sector = sectorBase(sector_addr);
-    const std::uint64_t gen = ++writeGeneration_[sector];
-    const ecc::SectorData data = pattern(sector, gen);
-    archMem_.write(sector, std::span<const std::uint8_t>(data));
+    ++writeGeneration_.tryEmplace(sectorBase(sector_addr)).first;
 }
 
 Cycle
@@ -272,9 +269,9 @@ GpuSystem::applyStagedStores()
 ecc::SectorData
 GpuSystem::archRead(Addr sector_addr) const
 {
-    ecc::SectorData data{};
-    archMem_.read(sectorBase(sector_addr), std::span<std::uint8_t>(data));
-    return data;
+    const Addr sector = sectorBase(sector_addr);
+    const std::uint64_t *gen = writeGeneration_.find(sector);
+    return pattern(sector, gen ? *gen : 0);
 }
 
 ecc::MemTag
@@ -318,14 +315,12 @@ GpuSystem::initialize(const KernelTrace &trace)
                     std::copy(sector.begin(), sector.end(),
                               data.begin() + s * kSectorBytes);
                 }
-                archMem_.write(addr, std::span<const std::uint8_t>(data));
                 slices_[sliceOf(addr)]->scheme().initializeChunk(
                     addr, data, region.tag);
                 addr += kChunkBytes;
                 continue;
             }
             const ecc::SectorData data = pattern(addr, 0);
-            archMem_.write(addr, std::span<const std::uint8_t>(data));
             slices_[sliceOf(addr)]->scheme().initializeSector(addr, data,
                                                               region.tag);
             addr += kSectorBytes;

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/addr_table.hpp"
 #include "common/arena.hpp"
 #include "common/domain.hpp"
 #include "core/config.hpp"
@@ -131,7 +132,7 @@ struct AuditResult
     std::uint64_t clean = 0;
     std::uint64_t corrected = 0;
     std::uint64_t uncorrectable = 0;
-    /** Sectors whose decoded bytes differ from the golden copy (SDC). */
+    /** Sectors whose decoded bytes differ from their golden value (SDC). */
     std::uint64_t silentCorruptions = 0;
 };
 
@@ -179,9 +180,9 @@ class GpuSystem
     void setShards(unsigned) {}
 
     /**
-     * Initialize the trace's regions (golden data + encoded DRAM
-     * state) without running. run() calls this automatically; tests
-     * and fault campaigns call it directly to inject faults between
+     * Initialize the trace's regions (encoded DRAM state) without
+     * running. run() calls this automatically; tests and fault
+     * campaigns call it directly to inject faults between
      * initialization and execution.
      */
     void initialize(const KernelTrace &trace);
@@ -198,8 +199,8 @@ class GpuSystem
 
     /**
      * Decode every initialized sector straight from DRAM storage and
-     * compare against the golden copy. Call after run() (which
-     * flushes all dirty state).
+     * compare against its golden value (archRead). Call after run()
+     * (which flushes all dirty state).
      */
     AuditResult auditMemory() const;
 
@@ -214,7 +215,11 @@ class GpuSystem
      *  injected); exposes the per-run slab high-water marks. */
     const EngineArenaPool &arenas() const { return *arenaPool_; }
 
-    /** Golden (architectural) bytes of the sector at @p addr. */
+    /**
+     * Golden (architectural) bytes of the sector at @p addr:
+     * pattern(sector, stores committed to it so far). There is no
+     * golden byte store; the write generation is the whole state.
+     */
     ecc::SectorData archRead(Addr sector_addr) const;
 
     /** The correct tag of @p addr per the initialized regions. */
@@ -263,7 +268,8 @@ class GpuSystem
         Cycle cycle;
     };
 
-    /** Record a store's new architectural value. */
+    /** Record a store's new architectural value (bump its write
+     *  generation). */
     void onStore(Addr sector_addr);
 
     /** Slice (== channel) owning @p addr. */
@@ -301,7 +307,6 @@ class GpuSystem
     std::unique_ptr<DramSystem> dram_;
     std::unique_ptr<ecc::SectorCodec> codec_;
     std::vector<std::unique_ptr<SparseMemory>> metaShadows_; //!< per slice
-    SparseMemory archMem_;
     std::vector<std::unique_ptr<L2Slice>> slices_;
     std::vector<std::unique_ptr<SmCore>> sms_;
     std::unique_ptr<Crossbar> reqXbar_;
@@ -309,7 +314,8 @@ class GpuSystem
 
     std::vector<TaggedRegion> regions_;
     FaultIndex faultIndex_;
-    std::map<Addr, std::uint64_t> writeGeneration_;
+    /** Sector -> stores committed to it; absent = generation 0. */
+    AddrTable<std::uint64_t> writeGeneration_;
     std::vector<StagedLane<StagedStore>> storeStage_; //!< per SM domain
     std::vector<StagedKey> storeOrder_; //!< applyStagedStores scratch
     bool initialized_ = false;

@@ -29,6 +29,14 @@ AddressMap::AddressMap(const DramGeometry &geometry, EccLayout layout)
     if (geom_.rowBytes % kChunkBytes != 0)
         fatal("row size must be a multiple of the chunk size");
 
+    // The interleave is a power of two, so the stripe split is a
+    // shift/mask; so is the channel split when numChannels is a power
+    // of two as well (otherwise it divides).
+    interleaveShift_ = log2Floor(geom_.channelInterleave);
+    channelShift_ = isPow2(geom_.numChannels)
+                        ? static_cast<int>(log2Floor(geom_.numChannels))
+                        : -1;
+
     // Co-located layout: each row holds N chunks of (256 data + 32 ecc)
     // bytes; the remainder of the row is unused slack.
     chunksPerRow_ = geom_.rowBytes / (kChunkBytes + kEccChunkBytes);
@@ -45,26 +53,32 @@ AddressMap::AddressMap(const DramGeometry &geometry, EccLayout layout)
 ChannelId
 AddressMap::channelOf(Addr logical) const
 {
+    const Addr stripe = logical >> interleaveShift_;
     return static_cast<ChannelId>(
-        (logical / geom_.channelInterleave) % geom_.numChannels);
+        channelShift_ >= 0 ? stripe & (geom_.numChannels - 1)
+                           : stripe % geom_.numChannels);
 }
 
 Addr
 AddressMap::channelLocalOf(Addr logical) const
 {
-    const Addr stripe = logical / geom_.channelInterleave;
-    const Addr local_stripe = stripe / geom_.numChannels;
-    return local_stripe * geom_.channelInterleave +
-           offsetIn(logical, geom_.channelInterleave);
+    const Addr stripe = logical >> interleaveShift_;
+    const Addr local_stripe = channelShift_ >= 0
+                                  ? stripe >> channelShift_
+                                  : stripe / geom_.numChannels;
+    return (local_stripe << interleaveShift_) |
+           (logical & (geom_.channelInterleave - 1));
 }
 
 Addr
 AddressMap::globalOf(ChannelId channel, Addr local) const
 {
-    const Addr local_stripe = local / geom_.channelInterleave;
-    return (local_stripe * geom_.numChannels + channel) *
-               geom_.channelInterleave +
-           offsetIn(local, geom_.channelInterleave);
+    const Addr local_stripe = local >> interleaveShift_;
+    const Addr stripe = channelShift_ >= 0
+                            ? (local_stripe << channelShift_) + channel
+                            : local_stripe * geom_.numChannels + channel;
+    return (stripe << interleaveShift_) |
+           (local & (geom_.channelInterleave - 1));
 }
 
 Addr

@@ -125,6 +125,10 @@ class AddressMap
     EccLayout layout_;
     std::size_t chunksPerRow_;
     Addr eccBase_; //!< channel-local start of segregated ECC region
+    unsigned interleaveShift_; //!< log2(channelInterleave)
+    /** log2(numChannels), or -1 when it is not a power of two (the
+     *  channel split then divides). */
+    int channelShift_;
 };
 
 } // namespace cachecraft

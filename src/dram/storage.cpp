@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 namespace cachecraft {
 
@@ -10,7 +11,8 @@ SparseMemory::pageForWrite(Addr page_base)
 {
     auto [page, inserted] = pages_.tryEmplace(page_base);
     if (inserted) {
-        page = std::make_unique<Page>();
+        // for_overwrite: the fill is the page's only initialization.
+        page = std::make_unique_for_overwrite<Page>();
         page->fill(fill_);
     }
     return *page;

@@ -12,7 +12,8 @@ namespace {
 /**
  * Static code tables: the 64 odd-weight parity-check columns (all 56
  * weight-3 columns plus 8 weight-5 columns), the syndrome reverse map,
- * and the transposed row masks used by the word-parallel encoder.
+ * the transposed row masks (the AND + parity reference form), and the
+ * byte-sliced check table the encoder uses.
  *
  * Reverse-map encoding: 0..63 = data bit position, 64..71 = check bit
  * position, 0xFF = not a column (uncorrectable pattern).
@@ -22,6 +23,9 @@ struct HsiaoTables
     std::array<std::uint8_t, 64> column{};
     std::array<std::uint8_t, 256> reverse{};
     std::array<std::uint64_t, 8> mask{};
+    /** slice[b][v]: check byte of a word whose only nonzero byte is
+     *  byte b, equal to v (the XOR of the columns of v's set bits). */
+    std::array<std::array<std::uint8_t, 256>, 8> slice{};
     bool ok = false;
 };
 
@@ -54,11 +58,39 @@ buildHsiaoTables()
                 t.mask[j] |= std::uint64_t{1} << i;
         }
     }
+    // Byte slices: the code is linear, so a word's check byte is the
+    // XOR of its eight bytes' slice entries.
+    for (unsigned b = 0; b < 8; ++b) {
+        for (unsigned v = 0; v < 256; ++v) {
+            std::uint8_t check = 0;
+            for (unsigned i = 0; i < 8; ++i) {
+                if ((v >> i) & 1u)
+                    check ^= t.column[b * 8 + i];
+            }
+            t.slice[b][v] = check;
+        }
+    }
     return t;
 }
 
 inline constexpr HsiaoTables kHsiao = buildHsiaoTables();
 static_assert(kHsiao.ok, "Hsiao(72,64) column construction failed");
+
+/**
+ * Check byte of the little-endian 64-bit word stored at @p bytes: eight
+ * table lookups, one per data byte, indexed by the bytes as stored (no
+ * word assembly). Equal to the AND + parity form over columnMask()
+ * (kept as the tests' reference), without a software popcount per
+ * check bit.
+ */
+inline std::uint8_t
+checkByte(const std::uint8_t *bytes)
+{
+    std::uint8_t check = 0;
+    for (std::size_t b = 0; b < 8; ++b)
+        check ^= kHsiao.slice[b][bytes[b]];
+    return check;
+}
 
 } // namespace
 
@@ -77,14 +109,9 @@ Hsiao7264::columnMask(unsigned j)
 std::uint8_t
 Hsiao7264::encode(std::uint64_t data)
 {
-    // Check bit j = parity of the data bits selected by row mask j:
-    // one AND + one popcount per check bit, no per-bit loop.
-    std::uint8_t check = 0;
-    for (unsigned j = 0; j < 8; ++j) {
-        check |= static_cast<std::uint8_t>(
-            parity64(data & kHsiao.mask[j]) << j);
-    }
-    return check;
+    std::array<std::uint8_t, 8> bytes;
+    storeLe64(std::span<std::uint8_t>(bytes), 0, data);
+    return checkByte(bytes.data());
 }
 
 Hsiao7264::WordResult
@@ -123,12 +150,8 @@ std::uint8_t
 sectorSyndromeOr(const std::uint8_t *data, const std::uint8_t *check)
 {
     std::uint8_t any = 0;
-    for (std::size_t w = 0; w < kWordsPerSector; ++w) {
-        const std::uint64_t word = loadLe64(
-            std::span<const std::uint8_t>(data, kSectorBytes), w * 8);
-        any |= static_cast<std::uint8_t>(Hsiao7264::encode(word) ^
-                                         check[w]);
-    }
+    for (std::size_t w = 0; w < kWordsPerSector; ++w)
+        any |= static_cast<std::uint8_t>(checkByte(data + w * 8) ^ check[w]);
     return any;
 }
 
@@ -139,12 +162,19 @@ SecDedCodec::encode(const SectorData &data, MemTag /* tag */) const
 {
     CC_HOST_ZONE("ecc.secded.encode");
     SectorCheck check{};
-    for (std::size_t w = 0; w < kWordsPerSector; ++w) {
-        const std::uint64_t word =
-            loadLe64(std::span<const std::uint8_t>(data), w * 8);
-        check[w] = Hsiao7264::encode(word);
-    }
+    for (std::size_t w = 0; w < kWordsPerSector; ++w)
+        check[w] = checkByte(data.data() + w * 8);
     return check;
+}
+
+void
+SecDedCodec::encodeChunk(const ChunkData &data, MemTag /* tag */,
+                         ChunkCheck &check) const
+{
+    // One check byte per 64-bit word: the chunk's 32 words in order
+    // are exactly its eight sectors' check fields in order.
+    for (std::size_t w = 0; w < check.size(); ++w)
+        check[w] = checkByte(data.data() + w * 8);
 }
 
 DecodeResult

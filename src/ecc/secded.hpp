@@ -10,10 +10,13 @@
  * syndrome, and minimizes the total number of ones in H for fast,
  * shallow XOR trees in hardware.
  *
- * The software encoder mirrors those XOR trees: each check bit j is
- * the parity of (data & columnMask(j)), one 64-bit AND + popcount per
- * check bit instead of a per-set-bit table walk. All code tables are
- * built constexpr.
+ * The software encoder is byte-sliced: a constexpr [8][256] table holds
+ * the check byte of every (byte position, byte value) pair, and a
+ * word's check byte is the XOR of eight lookups. It equals the XOR-tree
+ * form (check bit j = parity of data & columnMask(j)) because the code
+ * is linear, without a software popcount per check bit on builds
+ * that lack a popcount instruction. All code tables are built
+ * constexpr.
  */
 
 #ifndef CACHECRAFT_ECC_SECDED_HPP
@@ -71,6 +74,8 @@ class SecDedCodec : public SectorCodec
     DecodeResult decode(const SectorData &data, const SectorCheck &check,
                         MemTag tag) const override;
 
+    void encodeChunk(const ChunkData &data, MemTag tag,
+                     ChunkCheck &check) const override;
     ChunkDecodeResult decodeChunk(const ChunkData &data,
                                   const ChunkCheck &check,
                                   MemTag tag) const override;

@@ -341,14 +341,15 @@ void
 ProtectionScheme::initializeChunk(Addr logical, const ecc::ChunkData &data,
                                   ecc::MemTag tag)
 {
+    // A chunk's 256 B are contiguous in physical memory under every
+    // layout (kCoLocated re-packs whole chunks), so one write stores
+    // all eight sectors.
+    ctx_.dram->writeBytes(ctx_.channel, dataPhys(logical),
+                          std::span<const std::uint8_t>(data));
     for (std::size_t s = 0; s < kSectorsPerChunk; ++s) {
-        const Addr sector_logical = logical + s * kSectorBytes;
-        ctx_.dram->writeBytes(
-            ctx_.channel, dataPhys(sector_logical),
-            std::span<const std::uint8_t>(data.data() + s * kSectorBytes,
-                                          kSectorBytes));
         CACHECRAFT_VERIFY_HOOK(onInitSector(
-            sector_logical, data.data() + s * kSectorBytes, tag));
+            logical + s * kSectorBytes, data.data() + s * kSectorBytes,
+            tag));
     }
     if (ctx_.map->layout() == EccLayout::kNone)
         return;

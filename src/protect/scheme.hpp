@@ -180,8 +180,9 @@ class ProtectionScheme
      * Bulk-initialize a whole naturally aligned protection chunk
      * (@p logical chunk-aligned, @p data its 256 bytes). Byte- and
      * hook-equivalent to eight initializeSector calls, but encodes
-     * through the batch chunk codec and writes the 32 B of metadata
-     * to the shadow and to DRAM in one span each.
+     * through the batch chunk codec, writes the 256 B of data to DRAM
+     * in one span, and the 32 B of metadata to the shadow and to DRAM
+     * in one span each.
      */
     void initializeChunk(Addr logical, const ecc::ChunkData &data,
                          ecc::MemTag tag);

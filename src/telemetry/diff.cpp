@@ -115,6 +115,42 @@ checkSchemaVersion(const JsonValue &doc, const std::string &what,
     return true;
 }
 
+namespace {
+
+/** True if @p doc is a perfbench result or an object of them (see
+ *  checkDiffable). */
+bool
+isBenchResult(const JsonValue &doc)
+{
+    if (!doc.isObject() || doc.asObject().empty())
+        return false;
+    const JsonValue *metrics = doc.find("metrics");
+    if (metrics == nullptr) {
+        return std::all_of(doc.asObject().begin(), doc.asObject().end(),
+                           [](const auto &member) {
+                               return isBenchResult(member.second);
+                           });
+    }
+    const JsonValue *correct = doc.find("correct");
+    if (correct == nullptr || !correct->isBool() || !metrics->isObject())
+        return false;
+    return std::all_of(metrics->asObject().begin(),
+                       metrics->asObject().end(), [](const auto &member) {
+                           const JsonValue *value =
+                               member.second.find("value");
+                           return value != nullptr && value->isNumber();
+                       });
+}
+
+} // namespace
+
+bool
+checkDiffable(const JsonValue &doc, const std::string &what,
+              std::string *error)
+{
+    return isBenchResult(doc) || checkSchemaVersion(doc, what, error);
+}
+
 DiffResult
 diffReports(const JsonValue &before, const JsonValue &after,
             const DiffTolerances &tol,

@@ -14,7 +14,10 @@
  * EXPERIMENTS.md).
  *
  * Both inputs must carry a "schema_version" equal to this build's
- * kJsonSchemaVersion; mismatches are refused rather than diffed.
+ * kJsonSchemaVersion; mismatches are refused rather than diffed. The
+ * one exception is perfbench's result shape (see checkDiffable), which
+ * has no schema_version: it is what the committed host-speed
+ * trajectory (BENCH_<n>.json) holds.
  */
 
 #ifndef CACHECRAFT_TELEMETRY_DIFF_HPP
@@ -91,7 +94,17 @@ flattenNumeric(const JsonValue &doc,
 bool checkSchemaVersion(const JsonValue &doc, const std::string &what,
                         std::string *error);
 
-/** Compare two artifacts. Inputs are assumed schema-checked. */
+/**
+ * Accept @p doc for diffing: a perfbench result line ({"correct": bool,
+ * "attempted", "failed", "metrics": {name: {"value": number, "unit"}}})
+ * or a non-empty object whose members all are perfbench results (a
+ * trajectory file keyed by side and workload); otherwise whatever
+ * checkSchemaVersion accepts. @p what labels the error.
+ */
+bool checkDiffable(const JsonValue &doc, const std::string &what,
+                   std::string *error);
+
+/** Compare two artifacts. Inputs are assumed checkDiffable. */
 DiffResult diffReports(const JsonValue &before, const JsonValue &after,
                        const DiffTolerances &tol,
                        const std::vector<std::string> &ignore_prefixes =

@@ -29,8 +29,9 @@ expect_usage_error(1 "${SIM_TOOL}" --warps abc)
 # cachecraft_sweep reserves exit 1 for failed points; 2 is usage.
 expect_usage_error(2 "${SWEEP_TOOL}" --jobs two spec.json)
 
-# A cache geometry that cannot exist is rejected before the run prints
-# anything: exit 1, the L2/MRC message on stderr, no configuration block.
+# A machine that cannot be built (no SMs, or a cache geometry that
+# cannot exist) is rejected before the run prints anything: exit 1, the
+# reason on stderr, no configuration block.
 function(expect_geometry_error want_msg)
     execute_process(COMMAND ${ARGN}
                     RESULT_VARIABLE rc ERROR_VARIABLE err
@@ -50,3 +51,5 @@ expect_geometry_error("L2 geometry:" "${SIM_TOOL}" --l2-kib 3)
 expect_geometry_error("L2 geometry:" "${SIM_TOOL}" --l2-kib 0)
 expect_geometry_error("MRC geometry:"
                       "${HOSTPROF_TOOL}" --mrc-kib 3 --scheme cachecraft)
+expect_geometry_error("numSms must be positive" "${SIM_TOOL}" --sms 0)
+expect_geometry_error("numSms must be positive" "${HOSTPROF_TOOL}" --sms 0)

@@ -7,7 +7,9 @@
 #   1. perf_smoke is byte-deterministic run to run,
 #   2. cachecraft_diff exits 0 on identical artifacts,
 #   3. exits 1 when a metric moves beyond tolerance,
-#   4. exits 2 with a descriptive message on schema-version mismatch.
+#   4. exits 2 with a descriptive message on schema-version mismatch,
+#   5. reads perfbench result lines (no schema_version) and judges a
+#      30% move by --tol.
 
 foreach(var SMOKE_TOOL DIFF_TOOL WORK_DIR)
     if(NOT DEFINED ${var})
@@ -86,5 +88,31 @@ endif()
 if(NOT log MATCHES "schema_version")
     message(FATAL_ERROR "schema error is not descriptive:\n${log}")
 endif()
+
+# 5. perfbench result lines: host_s moved 30%.
+foreach(side before after)
+    if(side STREQUAL "before")
+        set(host_s 10)
+    else()
+        set(host_s 13)
+    endif()
+    file(WRITE "${WORK_DIR}/bench_${side}.json"
+         "{\"correct\": true, \"attempted\": 4, \"failed\": 0, "
+         "\"metrics\": {\"host_s\": {\"value\": ${host_s}, "
+         "\"unit\": \"s\"}}}\n")
+endforeach()
+foreach(case "0.5;0" "0.1;1")
+    list(GET case 0 tol)
+    list(GET case 1 want)
+    execute_process(COMMAND "${DIFF_TOOL}" "${WORK_DIR}/bench_before.json"
+                            "${WORK_DIR}/bench_after.json" --tol ${tol}
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                    ERROR_VARIABLE log)
+    if(NOT rc EQUAL want)
+        message(FATAL_ERROR "cachecraft_diff on perfbench lines at --tol "
+                            "${tol} exited ${rc}, expected ${want}:\n"
+                            "${out}${log}")
+    endif()
+endforeach()
 
 message(STATUS "perf gate contract holds")

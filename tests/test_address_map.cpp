@@ -40,6 +40,46 @@ TEST(AddressMap, ChannelRoundTrip)
     }
 }
 
+TEST(AddressMap, ShiftDecodeEqualsDivisionFormulas)
+{
+    // Power-of-two channel counts take the shift path, the others the
+    // divide fallback; both must equal the plain division formulas.
+    for (const unsigned channels : {1u, 3u, 6u, 8u, 12u}) {
+        for (const std::size_t interleave : {std::size_t{256},
+                                             std::size_t{4096}}) {
+            DramGeometry g = testGeometry();
+            g.numChannels = channels;
+            g.channelInterleave = interleave;
+            const AddressMap map(g, EccLayout::kNone);
+            Xoshiro256 rng(channels * 10007 + interleave);
+            for (int i = 0; i < 2000; ++i) {
+                const Addr logical = rng.below(Addr{1} << 40);
+                const Addr stripe = logical / interleave;
+                const auto ch = static_cast<ChannelId>(stripe % channels);
+                const Addr local =
+                    stripe / channels * interleave + logical % interleave;
+                ASSERT_EQ(map.channelOf(logical), ch)
+                    << channels << "ch/" << interleave << " " << logical;
+                ASSERT_EQ(map.channelLocalOf(logical), local)
+                    << channels << "ch/" << interleave << " " << logical;
+                ASSERT_EQ(map.globalOf(ch, local), logical)
+                    << channels << "ch/" << interleave << " " << logical;
+
+                // And from the channel side: any (channel, local) pair.
+                const auto c = static_cast<ChannelId>(rng.below(channels));
+                const Addr l = rng.below(Addr{1} << 34);
+                const Addr global =
+                    (l / interleave * channels + c) * interleave +
+                    l % interleave;
+                ASSERT_EQ(map.globalOf(c, l), global)
+                    << channels << "ch/" << interleave << " " << l;
+                ASSERT_EQ(map.channelOf(global), c);
+                ASSERT_EQ(map.channelLocalOf(global), l);
+            }
+        }
+    }
+}
+
 TEST(AddressMap, ChunkStaysInOneChannel)
 {
     const AddressMap map(testGeometry(), EccLayout::kSegregated);

@@ -234,6 +234,66 @@ TEST(Diff, MissingSchemaVersionIsRejected)
 }
 
 // --------------------------------------------------------------------
+// perfbench result lines (the host-speed trajectory)
+// --------------------------------------------------------------------
+
+/** A perfbench result line with the given host_s. */
+JsonValue
+benchLine(double host_s)
+{
+    return parseOrDie(strCat(
+        R"({"correct": true, "attempted": 4, "failed": 0, "metrics": {)",
+        R"("host_s": {"value": )", host_s, R"(, "unit": "s"},)",
+        R"("sim_cycles": {"value": 6505208, "unit": "cycles"}}})"));
+}
+
+TEST(Diff, PerfbenchLinesNeedNoSchemaVersion)
+{
+    std::string err;
+    EXPECT_TRUE(telemetry::checkDiffable(benchLine(7.0), "p.json", &err))
+        << err;
+    // A trajectory file: sides, then workloads, then result lines.
+    const auto trajectory = parseOrDie(strCat(
+        R"({"parent": {"gather": {"correct": true, "metrics": {}}},)",
+        R"( "change": {"gather": {"correct": false, "metrics": {)",
+        R"("host_s": {"value": 1, "unit": "s"}}}}})"));
+    EXPECT_TRUE(telemetry::checkDiffable(trajectory, "t.json", &err))
+        << err;
+
+    // Near misses still need a schema_version.
+    for (const char *text :
+         {R"({"metrics": {"host_s": {"value": 1}}})",
+          R"({"correct": true, "metrics": {"host_s": {"unit": "s"}}})",
+          R"({"correct": true, "metrics": {"host_s": 1}})",
+          R"({"parent": {"gather": {"correct": true, "metrics": {}}},)"
+          R"( "host": "x"})",
+          R"({})"}) {
+        const auto doc = parseOrDie(text);
+        err.clear();
+        EXPECT_FALSE(telemetry::checkDiffable(doc, "n.json", &err)) << text;
+        EXPECT_NE(err.find("missing schema_version"), std::string::npos);
+    }
+}
+
+TEST(Diff, PerfbenchMetricMovedThirtyPercentIsJudgedByTolerance)
+{
+    const auto before = benchLine(10.0);
+    const auto after = benchLine(13.0);
+    DiffTolerances tol;
+    tol.defaultRel = 0.5;
+    DiffResult r = telemetry::diffReports(before, after, tol);
+    EXPECT_FALSE(r.regression()); // cachecraft_diff exits 0
+    ASSERT_EQ(r.entries.size(), 5u); // correct, attempted, failed, 2 values
+    tol.defaultRel = 0.1;
+    r = telemetry::diffReports(before, after, tol);
+    EXPECT_TRUE(r.regression()); // cachecraft_diff exits 1
+    for (const auto &e : r.entries) {
+        EXPECT_EQ(e.beyondTol, e.metric == "metrics.host_s.value")
+            << e.metric;
+    }
+}
+
+// --------------------------------------------------------------------
 // Renderings
 // --------------------------------------------------------------------
 

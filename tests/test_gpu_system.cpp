@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/cachecraft.hpp"
+#include "gpu/coalescer.hpp"
 
 namespace cachecraft {
 namespace {
@@ -198,6 +201,50 @@ TEST(GpuSystem, EffectiveLayoutFollowsScheme)
     EXPECT_EQ(cfg.effectiveLayout(), EccLayout::kCoLocated);
     cfg.coLocatedLayout = false;
     EXPECT_EQ(cfg.effectiveLayout(), EccLayout::kSegregated);
+}
+
+TEST(GpuSystem, GoldenStateIsPatternOfStoreCount)
+{
+    // Golden state is (pattern, write generation): after a store-heavy
+    // kernel every region sector reads pattern(s, stores to s), and
+    // DRAM decodes to exactly that.
+    const auto trace =
+        makeWorkload(WorkloadKind::kHistogram, smallWorkload());
+    std::map<Addr, std::uint64_t> stores;
+    for (const auto &warp : trace.warps) {
+        for (const WarpInst &inst : warp) {
+            if (!inst.isMem || !inst.isWrite)
+                continue;
+            for (const SectorRequest &req : coalesce(inst))
+                ++stores[req.sectorAddr];
+        }
+    }
+
+    GpuSystem gpu(smallConfig(SchemeKind::kCacheCraft));
+    gpu.run(trace);
+    std::uint64_t touched = 0;
+    std::uint64_t untouched = 0;
+    std::uint64_t rewritten = 0;
+    for (const TaggedRegion &region : gpu.regions()) {
+        for (Addr s = region.base; s < region.base + region.size;
+             s += kSectorBytes) {
+            const auto it = stores.find(s);
+            const std::uint64_t gen = it == stores.end() ? 0 : it->second;
+            ASSERT_EQ(gpu.archRead(s), GpuSystem::pattern(s, gen))
+                << std::hex << "sector 0x" << s << std::dec << ", " << gen
+                << " stores";
+            (gen == 0 ? untouched : touched)++;
+            rewritten += gen > 1;
+        }
+    }
+    EXPECT_GT(touched, 0u);
+    EXPECT_GT(untouched, 0u);
+    EXPECT_GT(rewritten, 0u); // some sector went past generation 1
+
+    const AuditResult audit = gpu.auditMemory();
+    EXPECT_EQ(audit.sectors, touched + untouched);
+    EXPECT_EQ(audit.silentCorruptions, 0u);
+    EXPECT_EQ(audit.uncorrectable, 0u);
 }
 
 TEST(GpuSystemDeathTest, DoubleRunPanics)

@@ -1,14 +1,16 @@
 /**
  * @file
  * Tests for the Hsiao (72,64) SEC-DED code: exhaustive single-error
- * correction, double-error detection, and the odd-weight-column
- * construction invariants.
+ * correction, double-error detection, the odd-weight-column
+ * construction invariants, and the byte-sliced encoder against the
+ * AND + parity reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "ecc/secded.hpp"
@@ -40,6 +42,62 @@ TEST(Hsiao7264, CleanDecode)
         EXPECT_EQ(res.status, DecodeStatus::kClean);
         EXPECT_EQ(res.data, data);
         EXPECT_EQ(res.correctedBits, 0u);
+    }
+}
+
+/** The AND + parity form of the encoder: check bit j is the parity of
+ *  the data bits in columnMask(j). */
+std::uint8_t
+parityReferenceEncode(std::uint64_t data)
+{
+    std::uint8_t check = 0;
+    for (unsigned j = 0; j < 8; ++j) {
+        const int parity =
+            std::popcount(data & Hsiao7264::columnMask(j)) & 1;
+        check |= static_cast<std::uint8_t>(parity << j);
+    }
+    return check;
+}
+
+TEST(Hsiao7264, ByteSlicedEncodeMatchesParityReference)
+{
+    std::vector<std::uint64_t> words = {0, ~std::uint64_t{0}};
+    for (unsigned i = 0; i < 64; ++i) {
+        words.push_back(std::uint64_t{1} << i);
+        // A lone data bit encodes to its own column.
+        EXPECT_EQ(Hsiao7264::encode(std::uint64_t{1} << i),
+                  Hsiao7264::dataColumn(i))
+            << "bit " << i;
+    }
+    Xoshiro256 rng(22);
+    for (int i = 0; i < 100000; ++i)
+        words.push_back(rng.next());
+    for (const std::uint64_t word : words) {
+        ASSERT_EQ(Hsiao7264::encode(word), parityReferenceEncode(word))
+            << std::hex << "word 0x" << word;
+    }
+}
+
+TEST(Hsiao7264, CorrectsEverySingleFlipOfDataAndCheck)
+{
+    Xoshiro256 rng(23);
+    for (const std::uint64_t data :
+         {std::uint64_t{0}, ~std::uint64_t{0}, rng.next(), rng.next()}) {
+        const std::uint8_t check = Hsiao7264::encode(data);
+        for (unsigned bit = 0; bit < 72; ++bit) {
+            const bool in_data = bit < 64;
+            const auto res = Hsiao7264::decode(
+                in_data ? data ^ (std::uint64_t{1} << bit) : data,
+                in_data ? check
+                        : static_cast<std::uint8_t>(check ^
+                                                    (1u << (bit - 64))));
+            ASSERT_EQ(res.status, DecodeStatus::kCorrected)
+                << std::hex << "data 0x" << data << std::dec << " bit "
+                << bit;
+            EXPECT_EQ(res.data, data);
+            EXPECT_EQ(res.check, check);
+            EXPECT_EQ(res.correctedBits, 1u);
+        }
     }
 }
 

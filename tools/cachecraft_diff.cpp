@@ -1,11 +1,13 @@
 /**
  * @file
  * cachecraft_diff — compare two JSON artifacts (run reports, bench
- * tables, perf-smoke dumps) or two CACHECRAFT_REPORT_DIR trees, print
- * a per-metric delta table, and exit non-zero on regression. This is
- * the tool behind the CI perf gate.
+ * tables, perf-smoke dumps, perfbench result lines) or two
+ * CACHECRAFT_REPORT_DIR trees, print a per-metric delta table, and
+ * exit non-zero on regression. This is the tool behind the CI perf
+ * gate.
  *
  *   cachecraft_diff BENCH_baseline.json new.json --tol 0.02
+ *   cachecraft_diff BENCH_<a>.json BENCH_<b>.json --tol 0.25
  *   cachecraft_diff old_reports/ new_reports/ --json delta.json
  *   cachecraft_diff a.json b.json --tol-metric results.cycles=0.005
  *
@@ -46,7 +48,9 @@ usage()
         "BEFORE and AFTER are either two JSON files or two directories\n"
         "(e.g. CACHECRAFT_REPORT_DIR trees or cachecraft_sweep output\n"
         "trees); directories are walked recursively and compared\n"
-        "pairwise by sorted tree-relative path.\n"
+        "pairwise by sorted tree-relative path. Each file carries this\n"
+        "build's schema_version, or is a perfbench result line (or an\n"
+        "object of them, like the committed BENCH_<n>.json files).\n"
         "\n"
         "options:\n"
         "  --tol R             default relative tolerance (default 0:\n"
@@ -83,7 +87,7 @@ loadArtifact(const std::string &path)
                      error.c_str());
         std::exit(2);
     }
-    if (!telemetry::checkSchemaVersion(*doc, path, &error)) {
+    if (!telemetry::checkDiffable(*doc, path, &error)) {
         std::fprintf(stderr, "cachecraft_diff: %s\n", error.c_str());
         std::exit(2);
     }
