@@ -24,7 +24,8 @@
  *
  * Error model: structural problems (missing "grid", an axis that is
  * not an array, an unknown knob name) reject the whole spec, while a
- * bad knob *value* ("scheme": "bogus", "warps": 0), or knob values
+ * bad knob *value* ("scheme": "bogus", "warps": 0, a count too large
+ * for its field — the checks of core/knobs.hpp), or knob values
  * that together make an impossible cache geometry ("l2_kib": 3), mark
  * only the affected points as failed-at-expansion
  * (CampaignPoint::expandError), so one bad axis value can never abort
@@ -40,13 +41,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/config.hpp"
-#include "workloads/workloads.hpp"
+#include "core/knobs.hpp"
 
 namespace cachecraft::campaign {
 
-/** One expanded run point of a campaign grid. */
-struct CampaignPoint
+/** One expanded run point of a campaign grid: the KnobTarget its
+ *  knobs were applied to, plus where it came from. */
+struct CampaignPoint : KnobTarget
 {
     /** Position in expansion order (also the label prefix). */
     std::size_t index = 0;
@@ -54,10 +55,6 @@ struct CampaignPoint
     std::string label;
     /** (axis, value) pairs this point was expanded from, in spec order. */
     std::vector<std::pair<std::string, std::string>> axes;
-
-    SystemConfig config;
-    WorkloadKind workload = WorkloadKind::kStreaming;
-    WorkloadParams params;
 
     /** Non-empty when a knob value was invalid: the point is recorded
      *  as failed in the campaign manifest and never run. */
@@ -81,8 +78,8 @@ struct CampaignSpec
 std::optional<CampaignSpec> parseCampaignSpec(const std::string &text,
                                               std::string *error);
 
-/** The knob names base/grid accept, sorted (for --help and errors). */
-std::vector<std::string> knownKnobs();
+/** The knob names base/grid accept, sorted (see core/knobs.hpp). */
+using cachecraft::knownKnobs;
 
 } // namespace cachecraft::campaign
 

@@ -29,10 +29,11 @@ expect_usage_error(1 "${SIM_TOOL}" --warps abc)
 # cachecraft_sweep reserves exit 1 for failed points; 2 is usage.
 expect_usage_error(2 "${SWEEP_TOOL}" --jobs two spec.json)
 
-# A machine that cannot be built (no SMs, or a cache geometry that
-# cannot exist) is rejected before the run prints anything: exit 1, the
-# reason on stderr, no configuration block.
-function(expect_geometry_error want_msg)
+# A machine or kernel that cannot be built (no SMs, a cache geometry
+# that cannot exist, an empty kernel, an unknown name) is rejected
+# before the run prints anything: exit 1, the reason on stderr, no
+# configuration block.
+function(expect_rejected want_msg)
     execute_process(COMMAND ${ARGN}
                     RESULT_VARIABLE rc ERROR_VARIABLE err
                     OUTPUT_VARIABLE out)
@@ -47,9 +48,16 @@ function(expect_geometry_error want_msg)
     endif()
 endfunction()
 
-expect_geometry_error("L2 geometry:" "${SIM_TOOL}" --l2-kib 3)
-expect_geometry_error("L2 geometry:" "${SIM_TOOL}" --l2-kib 0)
-expect_geometry_error("MRC geometry:"
-                      "${HOSTPROF_TOOL}" --mrc-kib 3 --scheme cachecraft)
-expect_geometry_error("numSms must be positive" "${SIM_TOOL}" --sms 0)
-expect_geometry_error("numSms must be positive" "${HOSTPROF_TOOL}" --sms 0)
+expect_rejected("L2 geometry:" "${SIM_TOOL}" --l2-kib 3)
+expect_rejected("MRC geometry:"
+                "${HOSTPROF_TOOL}" --mrc-kib 3 --scheme cachecraft)
+# Zero sizes fail the knob table's check, the one campaign specs use.
+expect_rejected("wants a positive KiB size" "${SIM_TOOL}" --l2-kib 0)
+expect_rejected("wants a positive SM count" "${SIM_TOOL}" --sms 0)
+expect_rejected("wants a positive SM count" "${HOSTPROF_TOOL}" --sms 0)
+expect_rejected("wants a positive MiB footprint"
+                "${SIM_TOOL}" --footprint-mib 0)
+expect_rejected("wants a positive MiB footprint"
+                "${HOSTPROF_TOOL}" --footprint-mib 0)
+expect_rejected("wants a positive warp count" "${SIM_TOOL}" --warps 0)
+expect_rejected("unknown scheme" "${HOSTPROF_TOOL}" --scheme bogus)

@@ -306,6 +306,34 @@ TEST_F(CampaignRunnerTest, BadCacheGeometryIsContainedToItsPoint)
     EXPECT_FALSE(fs::exists(out / "reports" / "p001_3.json"));
 }
 
+TEST_F(CampaignRunnerTest, OversizedCountIsContainedToItsPoint)
+{
+    // 2^44 MiB used to wrap to a 0-byte footprint, on which the
+    // random kernel panicked and ended the whole sweep after p000.
+    const fs::path out = runInto(R"({
+      "name": "oversized",
+      "base": { "workload": "random", "scheme": "cachecraft",
+                "warps": 8, "mem_insts": 4 },
+      "grid": { "footprint_mib": [1, 17592186044416] }
+    })",
+                                 1, "oversized");
+    EXPECT_EQ(results_.countWithStatus(PointStatus::kOk), 1u);
+    EXPECT_EQ(results_.countWithStatus(PointStatus::kFailed), 1u);
+
+    std::string error;
+    auto manifest =
+        jsonParse(slurp(out / "campaign_manifest.json"), &error);
+    ASSERT_TRUE(manifest.has_value()) << error;
+    const auto &points = manifest->find("points")->asArray();
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_EQ(points[0].find("status")->asString(), "ok");
+    EXPECT_EQ(points[1].find("status")->asString(), "failed");
+    ASSERT_NE(points[1].find("error"), nullptr);
+    EXPECT_EQ(points[1].find("error")->asString(),
+              "grid axis \"footprint_mib\" is out of range "
+              "(max 17592186044415)");
+}
+
 TEST_F(CampaignRunnerTest, RunReportsCarryNoWallClockVariance)
 {
     const fs::path out = runInto(kTinySpec, 2, "novariance");

@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -47,24 +46,13 @@ usage()
         "cachecraft_curves — one-pass miss-ratio curves, residency "
         "heatmaps,\nand metadata-locality attribution\n"
         "\n"
-        "workload (built-in kernels):\n"
-        "  --workload NAME     streaming strided stencil2d gemm\n"
-        "                      transpose reduction histogram random\n"
-        "                      spmv (default streaming)\n"
-        "  --footprint-mib N   array footprint (default 8)\n"
-        "  --warps N           total warps (default 256)\n"
-        "  --mem-insts N       mem insts/warp, irregular kernels (48)\n"
-        "  --seed N            workload seed (default 7)\n"
+        "one built-in kernel, set up by the knobs below, with\n"
+        "--reuse-profile forced on\n"
+        "\n");
+    printKnobHelp();
+    std::printf(
         "\n"
-        "system configuration:\n"
-        "  --scheme S          no-ecc | inline-naive | ecc-cache |\n"
-        "                      cachecraft (default cachecraft)\n"
-        "  --sms N             SM count (default 16)\n"
-        "  --l2-kib N          L2 KiB per slice (default 512)\n"
-        "  --mrc-kib N         MRC KiB per slice (default 16)\n"
-        "\n"
-        "profiling:\n"
-        "  --max-assoc N       curve bound: points at 1..N ways (64)\n"
+        "heatmaps:\n"
         "  --set-groups N      heatmap rows per cache (64)\n"
         "  --epoch-accesses N  initial heatmap epoch length (4096)\n"
         "\n"
@@ -76,27 +64,6 @@ usage()
         "                      one-pass curves against brute-force LRU\n"
         "                      re-simulation (exit 1 on any mismatch)\n"
         "  --quiet             suppress the console summary\n");
-}
-
-std::optional<SchemeKind>
-parseScheme(const std::string &s)
-{
-    for (auto kind : {SchemeKind::kNone, SchemeKind::kInlineNaive,
-                      SchemeKind::kEccCache, SchemeKind::kCacheCraft}) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<WorkloadKind>
-parseWorkload(const std::string &s)
-{
-    for (auto kind : allWorkloads()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
 }
 
 std::string
@@ -133,14 +100,10 @@ validationWays(const telemetry::CacheReuseMonitor &m)
 int
 main(int argc, char **argv)
 {
-    WorkloadParams wparams;
-    wparams.footprintBytes = 8 * 1024 * 1024;
-    wparams.numWarps = 256;
-    wparams.memInstsPerWarp = 48;
-    wparams.seed = 7;
-
-    SystemConfig config;
-    WorkloadKind workload = WorkloadKind::kStreaming;
+    KnobTarget run = toolKnobDefaults();
+    SystemConfig &config = run.config;
+    const WorkloadParams &wparams = run.params;
+    const WorkloadKind &workload = run.workload;
     std::string json_path;
     std::string svg_path;
     bool validate = false;
@@ -152,36 +115,6 @@ main(int argc, char **argv)
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
-        } else if (flag == "--workload") {
-            const std::string name = args.value(i);
-            const auto kind = parseWorkload(name);
-            if (!kind)
-                fatal("unknown workload: " + name);
-            workload = *kind;
-        } else if (flag == "--footprint-mib") {
-            wparams.footprintBytes = args.bytes(i, 1024 * 1024);
-        } else if (flag == "--warps") {
-            wparams.numWarps = args.count<unsigned>(i);
-        } else if (flag == "--mem-insts") {
-            wparams.memInstsPerWarp = args.count<unsigned>(i);
-        } else if (flag == "--seed") {
-            wparams.seed = args.count(i);
-        } else if (flag == "--scheme") {
-            const std::string name = args.value(i);
-            const auto kind = parseScheme(name);
-            if (!kind)
-                fatal("unknown scheme: " + name);
-            config.scheme = *kind;
-        } else if (flag == "--sms") {
-            config.numSms = args.count<unsigned>(i);
-        } else if (flag == "--l2-kib") {
-            config.l2.cache.sizeBytes = args.bytes(i, 1024);
-        } else if (flag == "--mrc-kib") {
-            config.mrc.sizeBytes = args.bytes(i, 1024);
-        } else if (flag == "--max-assoc") {
-            config.telemetry.reuseMaxAssoc = args.count<unsigned>(i);
-            if (config.telemetry.reuseMaxAssoc == 0)
-                fatal("--max-assoc must be positive");
         } else if (flag == "--set-groups") {
             config.telemetry.reuseSetGroups = args.count<unsigned>(i);
             if (config.telemetry.reuseSetGroups == 0)
@@ -198,7 +131,7 @@ main(int argc, char **argv)
             validate = true;
         } else if (flag == "--quiet") {
             quiet = true;
-        } else {
+        } else if (!args.knob(i, run)) {
             usage();
             fatal("unknown flag: " + flag);
         }
@@ -214,7 +147,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    config.telemetry.reuseProfileEnabled = true;
+    enableKnob(run, "reuse_profile");
     config.telemetry.reuseRetainStream = validate;
 
     GpuSystem gpu(config);

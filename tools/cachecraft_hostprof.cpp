@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 
@@ -50,21 +49,11 @@ usage()
         "cachecraft_hostprof — host wall-clock zones, hardware "
         "counters,\nand memory telemetry of the simulator itself\n"
         "\n"
-        "single-run mode (built-in kernels):\n"
-        "  --workload NAME     streaming strided stencil2d gemm\n"
-        "                      transpose reduction histogram random\n"
-        "                      spmv (default streaming)\n"
-        "  --footprint-mib N   array footprint (default 8)\n"
-        "  --warps N           total warps (default 256)\n"
-        "  --mem-insts N       mem insts/warp, irregular kernels (48)\n"
-        "  --seed N            workload seed (default 7)\n"
-        "  --scheme S          no-ecc | inline-naive | ecc-cache |\n"
-        "                      cachecraft (default cachecraft)\n"
-        "  --codec C           secded | sec-badaec | chipkill |\n"
-        "                      aft-ecc (default secded)\n"
-        "  --sms N             SM count (default 16)\n"
-        "  --l2-kib N          L2 KiB per slice (default 512)\n"
-        "  --mrc-kib N         MRC KiB per slice (default 16)\n"
+        "single-run mode: one built-in kernel, set up by the knobs\n"
+        "below\n"
+        "\n");
+    printKnobHelp();
+    std::printf(
         "\n"
         "campaign mode:\n"
         "  --campaign FILE     profile a whole campaign spec instead\n"
@@ -83,37 +72,6 @@ usage()
         "  --svg FILE          write a self-contained flamegraph SVG\n"
         "  --no-counters       skip perf_event hardware counters\n"
         "  --quiet             suppress the console tree\n");
-}
-
-std::optional<SchemeKind>
-parseScheme(const std::string &s)
-{
-    for (auto kind : {SchemeKind::kNone, SchemeKind::kInlineNaive,
-                      SchemeKind::kEccCache, SchemeKind::kCacheCraft}) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<ecc::CodecKind>
-parseCodec(const std::string &s)
-{
-    for (auto kind : ecc::allCodecs()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<WorkloadKind>
-parseWorkload(const std::string &s)
-{
-    for (auto kind : allWorkloads()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
 }
 
 std::uint64_t
@@ -167,14 +125,8 @@ writeArtifactFiles(const telemetry::HostProfileArtifact &artifact,
 int
 main(int argc, char **argv)
 {
-    WorkloadParams wparams;
-    wparams.footprintBytes = 8 * 1024 * 1024;
-    wparams.numWarps = 256;
-    wparams.memInstsPerWarp = 48;
-    wparams.seed = 7;
-
-    SystemConfig config;
-    WorkloadKind workload = WorkloadKind::kStreaming;
+    KnobTarget run = toolKnobDefaults();
+    const SystemConfig &config = run.config;
     std::string campaign_path;
     std::string out_dir;
     unsigned jobs = 1;
@@ -190,38 +142,6 @@ main(int argc, char **argv)
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
-        } else if (flag == "--workload") {
-            const std::string name = args.value(i);
-            const auto kind = parseWorkload(name);
-            if (!kind)
-                fatal("unknown workload: " + name);
-            workload = *kind;
-        } else if (flag == "--footprint-mib") {
-            wparams.footprintBytes = args.bytes(i, 1024 * 1024);
-        } else if (flag == "--warps") {
-            wparams.numWarps = args.count<unsigned>(i);
-        } else if (flag == "--mem-insts") {
-            wparams.memInstsPerWarp = args.count<unsigned>(i);
-        } else if (flag == "--seed") {
-            wparams.seed = args.count(i);
-        } else if (flag == "--scheme") {
-            const std::string name = args.value(i);
-            const auto kind = parseScheme(name);
-            if (!kind)
-                fatal("unknown scheme: " + name);
-            config.scheme = *kind;
-        } else if (flag == "--codec") {
-            const std::string name = args.value(i);
-            const auto kind = parseCodec(name);
-            if (!kind)
-                fatal("unknown codec: " + name);
-            config.codec = *kind;
-        } else if (flag == "--sms") {
-            config.numSms = args.count<unsigned>(i);
-        } else if (flag == "--l2-kib") {
-            config.l2.cache.sizeBytes = args.bytes(i, 1024);
-        } else if (flag == "--mrc-kib") {
-            config.mrc.sizeBytes = args.bytes(i, 1024);
         } else if (flag == "--campaign") {
             campaign_path = args.value(i);
         } else if (flag == "--out") {
@@ -240,7 +160,7 @@ main(int argc, char **argv)
             counters = false;
         } else if (flag == "--quiet") {
             quiet = true;
-        } else {
+        } else if (!args.knob(i, run)) {
             usage();
             fatal("unknown flag: " + flag);
         }
@@ -309,18 +229,18 @@ main(int argc, char **argv)
         const auto start = std::chrono::steady_clock::now();
         {
             GpuSystem gpu(config);
-            gpu.run(makeWorkload(workload, wparams));
+            gpu.run(makeWorkload(run.workload, run.params));
             gpu.auditMemory();
         }
         telemetry::HostProfiler::sampleMemory();
         artifact.wallNs = elapsedNs(start);
         telemetry::HostProfiler::release();
 
-        artifact.config.emplace_back("workload", toString(workload));
+        artifact.config.emplace_back("workload", toString(run.workload));
         artifact.config.emplace_back("scheme",
                                      toString(config.scheme));
         artifact.config.emplace_back("summary", config.summary());
-        title = strCat("hostprof: ", toString(workload), " / ",
+        title = strCat("hostprof: ", toString(run.workload), " / ",
                        toString(config.scheme));
     }
 

@@ -25,7 +25,6 @@
 #include "stats/energy.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/host_profiler.hpp"
-#include "telemetry/options.hpp"
 #include "workloads/trace_io.hpp"
 
 #include "tool_args.hpp"
@@ -40,29 +39,11 @@ usage()
     std::printf(
         "cachecraft_sim — GPU memory-protection simulator\n"
         "\n"
-        "workload selection (one of):\n"
-        "  --workload NAME     built-in kernel: streaming strided\n"
-        "                      stencil2d gemm transpose reduction\n"
-        "                      histogram random spmv\n"
-        "  --trace FILE        load a trace file (see trace_io.hpp)\n"
-        "\n"
-        "workload sizing (built-in kernels):\n"
-        "  --footprint-mib N   array footprint (default 8)\n"
-        "  --warps N           total warps (default 256)\n"
-        "  --mem-insts N       mem insts/warp, irregular kernels (48)\n"
-        "  --seed N            workload seed (default 7)\n"
-        "\n"
-        "system configuration:\n"
-        "  --scheme S          no-ecc | inline-naive | ecc-cache |\n"
-        "                      cachecraft (default cachecraft)\n"
-        "  --codec C           secded | sec-badaec | chipkill |\n"
-        "                      aft-ecc (default secded)\n"
-        "  --sms N             SM count (default 16)\n"
-        "  --l2-kib N          L2 KiB per slice (default 512)\n"
-        "  --mrc-kib N         MRC KiB per slice (default 16)\n"
-        "  --no-r1 --no-r2 --no-r3   disable CacheCraft mechanisms\n"
-        "  --gto               greedy-then-oldest warp scheduling\n"
-        "  --l2-whole-line     fetch whole 128 B line on L2 miss\n"
+        "  --trace FILE        run a trace file (see trace_io.hpp)\n"
+        "                      instead of a built-in --workload\n"
+        "\n");
+    printKnobHelp({"host_profile"});
+    std::printf(
         "\n"
         "output:\n"
         "  --dump-trace FILE   write the workload trace and exit\n"
@@ -73,33 +54,15 @@ usage()
         "  --energy            print the energy model breakdown\n"
         "  --quiet             suppress the configuration block\n"
         "  --log-level L       silent | warn | info | debug (warn)\n"
-        "\n"
-        "telemetry:\n"
-        "  --sample-interval N sample stat deltas every N cycles\n"
-        "  --epochs-csv FILE   write the epoch series as CSV\n"
-        "  --profile           enable the occupancy profiler\n"
-        "                      (occupancy gauges, hottest DRAM rows\n"
-        "                      and L2 sectors; adds a \"profile\"\n"
-        "                      report section; cycle attribution is\n"
-        "                      --flight-record's critical path)\n"
-        "  --profile-interval N poll occupancy gauges every N cycles\n"
-        "                      (default 4096)\n"
+        "  --epochs-csv FILE   write the --sample-interval epoch\n"
+        "                      series as CSV\n"
         "  --report-json FILE  write the full machine-readable run\n"
         "                      report (manifest + config + stats)\n"
-        "  --flight-record FILE enable the binary flight recorder and\n"
-        "                      write its dump (analyze with\n"
-        "                      cachecraft_trace, which also exports\n"
-        "                      Chrome/Perfetto JSON); adds a\n"
-        "                      \"critical_path\" report section\n"
-        "  --flight-capacity N flight ring size in records (1048576)\n"
-        "  --reuse-profile     enable one-pass reuse-distance\n"
-        "                      profiling of the L2 and MRC access\n"
-        "                      streams (miss-ratio curves, residency\n"
-        "                      heatmaps, locality attribution; adds a\n"
-        "                      \"curves\" report section; see also the\n"
-        "                      dedicated cachecraft_curves tool)\n"
-        "  --reuse-max-assoc N curve bound: miss-ratio points at\n"
-        "                      1..N ways (default 64)\n"
+        "  --flight-record FILE enable the flight recorder and write\n"
+        "                      its dump (analyze with cachecraft_trace,\n"
+        "                      which also exports Chrome/Perfetto\n"
+        "                      JSON); adds a \"critical_path\" report\n"
+        "                      section\n"
         "  --host-profile FILE enable the host wall-clock zone\n"
         "                      profiler and write its JSON artifact\n"
         "                      (schema cachecraft.hostprof/1; see the\n"
@@ -109,37 +72,6 @@ usage()
         "                      stderr every N simulated cycles (off by\n"
         "                      default; output is stderr-only so\n"
         "                      reports stay byte-identical)\n");
-}
-
-std::optional<SchemeKind>
-parseScheme(const std::string &s)
-{
-    for (auto kind : {SchemeKind::kNone, SchemeKind::kInlineNaive,
-                      SchemeKind::kEccCache, SchemeKind::kCacheCraft}) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<ecc::CodecKind>
-parseCodec(const std::string &s)
-{
-    for (auto kind : ecc::allCodecs()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<WorkloadKind>
-parseWorkload(const std::string &s)
-{
-    for (auto kind : allWorkloads()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
 }
 
 std::optional<LogLevel>
@@ -161,13 +93,9 @@ parseLogLevel(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    WorkloadParams wparams;
-    wparams.footprintBytes = 8 * 1024 * 1024;
-    wparams.numWarps = 256;
-    wparams.memInstsPerWarp = 48;
-
-    SystemConfig config;
-    std::optional<WorkloadKind> workload;
+    KnobTarget run = toolKnobDefaults();
+    const SystemConfig &config = run.config;
+    const WorkloadParams &wparams = run.params;
     std::string trace_path;
     std::string dump_path;
     std::string csv_path;
@@ -181,95 +109,29 @@ main(int argc, char **argv)
     bool list_stats = false;
 
     const ToolArgs args("cachecraft_sim", argc, argv, 1);
-
-    // Telemetry flags funnel through the shared knob parser (the same
-    // one campaign specs use), so the two surfaces cannot drift on
-    // names, coupling rules, or validation.
-    auto telemetry_knob = [&](const char *flag, const std::string &knob,
-                              const std::string &text) {
-        std::string error;
-        if (!telemetry::applyTelemetryKnobText(config.telemetry, knob,
-                                               text, &error))
-            fatal(strCat("flag ", flag, " ", error));
-    };
-
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
-        } else if (flag == "--workload") {
-            workload = parseWorkload(args.value(i));
-            if (!workload)
-                fatal("unknown workload");
         } else if (flag == "--trace") {
             trace_path = args.value(i);
-        } else if (flag == "--footprint-mib") {
-            wparams.footprintBytes = args.bytes(i, 1024 * 1024);
-        } else if (flag == "--warps") {
-            wparams.numWarps = args.count<unsigned>(i);
-        } else if (flag == "--mem-insts") {
-            wparams.memInstsPerWarp = args.count<unsigned>(i);
-        } else if (flag == "--seed") {
-            wparams.seed = args.count(i);
-        } else if (flag == "--scheme") {
-            const auto scheme = parseScheme(args.value(i));
-            if (!scheme)
-                fatal("unknown scheme");
-            config.scheme = *scheme;
-        } else if (flag == "--codec") {
-            const auto codec = parseCodec(args.value(i));
-            if (!codec)
-                fatal("unknown codec");
-            config.codec = *codec;
-        } else if (flag == "--sms") {
-            config.numSms = args.count<unsigned>(i);
-        } else if (flag == "--l2-kib") {
-            config.l2.cache.sizeBytes = args.bytes(i, 1024);
-        } else if (flag == "--mrc-kib") {
-            config.mrc.sizeBytes = args.bytes(i, 1024);
-        } else if (flag == "--no-r1") {
-            config.mrc.chunkGranularity = false;
-        } else if (flag == "--no-r2") {
-            config.mrc.writebackMrc = false;
-        } else if (flag == "--no-r3") {
-            config.coLocatedLayout = false;
-        } else if (flag == "--gto") {
-            config.sm.scheduler = WarpSched::kGto;
-        } else if (flag == "--l2-whole-line") {
-            config.l2.fetchWholeLine = true;
         } else if (flag == "--dump-trace") {
             dump_path = args.value(i);
         } else if (flag == "--list-stats") {
             list_stats = true;
         } else if (flag == "--stats-csv") {
             csv_path = args.value(i);
-        } else if (flag == "--sample-interval") {
-            telemetry_knob("--sample-interval", "sample_interval",
-                           args.value(i));
         } else if (flag == "--epochs-csv") {
             epochs_csv_path = args.value(i);
-        } else if (flag == "--profile") {
-            telemetry_knob("--profile", "profile", "true");
-        } else if (flag == "--profile-interval") {
-            telemetry_knob("--profile-interval", "profile_interval",
-                           args.value(i));
         } else if (flag == "--report-json") {
             report_json_path = args.value(i);
         } else if (flag == "--flight-record") {
             flight_path = args.value(i);
-            telemetry_knob("--flight-record", "flight_recorder", "true");
-        } else if (flag == "--flight-capacity") {
-            telemetry_knob("--flight-capacity", "flight_capacity",
-                           args.value(i));
-        } else if (flag == "--reuse-profile") {
-            telemetry_knob("--reuse-profile", "reuse_profile", "true");
-        } else if (flag == "--reuse-max-assoc") {
-            telemetry_knob("--reuse-max-assoc", "reuse_max_assoc",
-                           args.value(i));
+            enableKnob(run, "flight_recorder");
         } else if (flag == "--host-profile") {
             host_profile_path = args.value(i);
-            telemetry_knob("--host-profile", "host_profile", "true");
+            enableKnob(run, "host_profile");
         } else if (flag == "--progress") {
             progress_interval = args.count(i);
             if (progress_interval == 0)
@@ -283,7 +145,7 @@ main(int argc, char **argv)
             want_energy = true;
         } else if (flag == "--quiet") {
             quiet = true;
-        } else {
+        } else if (!args.knob(i, run)) {
             std::fprintf(stderr, "unknown flag %s (see --help)\n",
                          flag.c_str());
             return 1;
@@ -311,8 +173,7 @@ main(int argc, char **argv)
         if (!error.empty())
             fatal(error);
     } else {
-        trace = makeWorkload(workload.value_or(WorkloadKind::kStreaming),
-                             wparams);
+        trace = makeWorkload(run.workload, wparams);
     }
 
     if (!dump_path.empty()) {

@@ -7,18 +7,28 @@
  * of common/parse_number.hpp. A missing or malformed value prints
  * "<tool>: flag <flag> <why>" to stderr and exits with the tool's
  * usage-error code, never with an uncaught exception.
+ *
+ * The simulating tools take every knob of core/knobs.hpp as a flag
+ * named after it (`l2_kib` is `--l2-kib N`, a boolean `gto` is `--gto`
+ * or `--no-gto`): ToolArgs::knob applies one, printKnobHelp lists
+ * them, and toolKnobDefaults is the kernel sizing they start from.
  */
 
 #ifndef CACHECRAFT_TOOLS_TOOL_ARGS_HPP
 #define CACHECRAFT_TOOLS_TOOL_ARGS_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/parse_number.hpp"
+#include "core/knobs.hpp"
 
 namespace cachecraft {
 
@@ -54,15 +64,6 @@ class ToolArgs
         return static_cast<T>(*v);
     }
 
-    /** The value after flag argv[i], counted in @p unit bytes, as a
-     *  byte count (rejecting products that overflow 64 bits). */
-    std::uint64_t
-    bytes(int &i, std::uint64_t unit) const
-    {
-        return count(i, std::numeric_limits<std::uint64_t>::max() / unit) *
-               unit;
-    }
-
     /** The value after flag argv[i] as a finite number >= 0. */
     double
     real(int &i) const
@@ -74,6 +75,41 @@ class ToolArgs
         if (!v)
             fail(flag, got(error, text));
         return *v;
+    }
+
+    /**
+     * Apply argv[i] if it is a knob flag, advancing @p i past its
+     * value. Returns false, touching nothing, when it is none; a bad
+     * value exits like any bad flag value.
+     */
+    bool
+    knob(int &i, KnobTarget &target) const
+    {
+        const std::string_view flag = argv_[i];
+        if (!flag.starts_with("--") || flag.find('_') != flag.npos)
+            return false;
+        std::string name(flag.substr(2));
+        std::replace(name.begin(), name.end(), '-', '_');
+        const Knob *row = findKnob(name);
+        bool on = true;
+        if (row == nullptr && name.starts_with("no_")) {
+            row = findKnob(std::string_view(name).substr(3));
+            on = false;
+            if (row != nullptr && row->kind != Knob::Kind::kBool)
+                return false;
+        }
+        if (row == nullptr)
+            return false;
+        const int at = i;
+        const std::string text = row->kind == Knob::Kind::kBool
+                                     ? (on ? "true" : "false")
+                                     : value(i);
+        const std::string error = applyKnobText(target, *row, text);
+        if (!error.empty())
+            fail(at, row->kind == Knob::Kind::kCount
+                         ? got(error, text.c_str())
+                         : error);
+        return true;
     }
 
     /** Report that flag argv[i] is unusable (@p why) and exit. */
@@ -97,6 +133,84 @@ class ToolArgs
     char **argv_;
     int usageExit_;
 };
+
+/** The kernel sizing every simulating tool starts from. */
+inline KnobTarget
+toolKnobDefaults()
+{
+    KnobTarget target;
+    target.params.footprintBytes = 8 * 1024 * 1024;
+    target.params.numWarps = 256;
+    target.params.memInstsPerWarp = 48;
+    target.params.seed = 7;
+    return target;
+}
+
+/** Turn boolean knob @p name on, for an output flag that needs it. */
+inline void
+enableKnob(KnobTarget &target, std::string_view name)
+{
+    applyKnobText(target, *findKnob(name), "true");
+}
+
+/**
+ * Print the knob block of a tool's --help from the knob table, except
+ * the knobs in @p skip, which the tool spells as flags of its own.
+ */
+inline void
+printKnobHelp(std::initializer_list<std::string_view> skip = {})
+{
+    constexpr std::size_t kColumn = 22;
+    constexpr std::size_t kWidth = 76;
+    const KnobTarget defaults = toolKnobDefaults();
+    std::printf(
+        "knobs (the campaign spec keys of the same names; kernel sizing\n"
+        "defaults --footprint-mib %llu --warps %u --mem-insts %u --seed "
+        "%llu):\n",
+        static_cast<unsigned long long>(defaults.params.footprintBytes >>
+                                        20),
+        defaults.params.numWarps, defaults.params.memInstsPerWarp,
+        static_cast<unsigned long long>(defaults.params.seed));
+    for (const Knob &knob : knobTable()) {
+        if (std::find(skip.begin(), skip.end(), knob.name) != skip.end())
+            continue;
+        std::string flag = knob.name;
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        std::string line = "  --" + flag;
+        std::string help = knob.help;
+        switch (knob.kind) {
+          case Knob::Kind::kBool:
+            line += ", --no-" + flag;
+            break;
+          case Knob::Kind::kCount:
+            line += " N";
+            break;
+          case Knob::Kind::kEnum:
+            line += " NAME";
+            for (std::uint64_t v = 0; v < knob.max; ++v)
+                help += (v == 0 ? ": " : " | ") + std::string(knob.label(v));
+            break;
+        }
+        if (line.size() >= kColumn) {
+            std::printf("%s\n", line.c_str());
+            line.clear();
+        }
+        std::istringstream words(help);
+        for (std::string word; words >> word;) {
+            if (line.size() > kColumn &&
+                line.size() + 1 + word.size() > kWidth) {
+                std::printf("%s\n", line.c_str());
+                line.clear();
+            }
+            if (line.size() < kColumn)
+                line.resize(kColumn, ' ');
+            else
+                line += ' ';
+            line += word;
+        }
+        std::printf("%s\n", line.c_str());
+    }
+}
 
 } // namespace cachecraft
 
