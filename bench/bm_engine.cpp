@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "cache/mshr.hpp"
+#include "common/domain.hpp"
 #include "common/rng.hpp"
 #include "core/cachecraft.hpp"
 #include "dram/dram_model.hpp"
@@ -207,12 +208,13 @@ BENCHMARK_TEMPLATE(BM_EngineFanout, EventQueue)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * GpuSystem's epoch loop over sparse domains: 24 queues, of which 4
- * run busy self-rescheduling actors and 20 hold only a far-heap timer
- * plus inbox messages the busy ones send them — the shape of an SM
- * waiting on responses. Every 16-cycle epoch polls nextAt() on each
- * queue twice, as the drain loop does, so the cost of finding the
- * next event of a queue whose wheel is empty shows here.
+ * GpuSystem's epoch loop over sparse domains: 24 domains on one
+ * domain-stamped queue, of which 4 run busy self-rescheduling actors
+ * and 20 hold only a far-heap timer plus inbox messages the busy ones
+ * send them — the shape of an SM waiting on responses. Every 16-cycle
+ * epoch polls nextAt() once and makes one runUntil() call, as the
+ * drain loop does, then posts the epoch's staged messages to their
+ * destination domains.
  */
 class SparseDomains
 {
@@ -225,14 +227,15 @@ class SparseDomains
 
     SparseDomains()
     {
-        for (std::uint32_t d = 0; d < kDomains; ++d)
-            queues_.push_back(std::make_unique<EventQueue>());
         firesLeft_.assign(kActors, kFiresPerActor);
-        for (std::uint32_t a = 0; a < kActors; ++a)
-            queues_[a % kBusy]->scheduleAfter(nextDelta(rng_),
-                                              [this, a] { actorStep(a); });
-        for (std::uint32_t d = kBusy; d < kDomains; ++d)
+        for (std::uint32_t a = 0; a < kActors; ++a) {
+            const ScopedSimDomain scope(static_cast<std::int32_t>(a % kBusy));
+            queue_.scheduleAfter(nextDelta(rng_), [this, a] { actorStep(a); });
+        }
+        for (std::uint32_t d = kBusy; d < kDomains; ++d) {
+            const ScopedSimDomain scope(static_cast<std::int32_t>(d));
             timer(d);
+        }
     }
 
     /** Drain like GpuSystem::run's epoch loop; returns events. */
@@ -241,28 +244,19 @@ class SparseDomains
     {
         std::uint32_t seq = 0;
         while (true) {
-            Cycle earliest = EventQueue::kNoEventCycle;
-            for (const auto &q : queues_)
-                earliest = std::min(earliest, q->nextAt());
+            const Cycle earliest = queue_.nextAt();
             if (earliest == EventQueue::kNoEventCycle)
                 break;
-            const Cycle limit = (earliest / kEpoch) * kEpoch + kEpoch - 1;
-            for (const auto &q : queues_) {
-                if (q->nextAt() <= limit)
-                    q->runUntil(limit);
-            }
+            queue_.runUntil((earliest / kEpoch) * kEpoch + kEpoch - 1);
             // Barrier: deliver one epoch after the send, strictly in
-            // every receiver's future.
+            // the queue's future.
             for (const Message &m : staged_)
-                queues_[m.dest]->postMessage(
-                    m.sent + kEpoch, m.sent, m.src, seq++,
-                    [this, d = m.dest] { onMessage(d); });
+                queue_.postMessage(m.sent + kEpoch, m.sent, m.src, seq++,
+                                   static_cast<std::int32_t>(m.dest),
+                                   [this, d = m.dest] { onMessage(d); });
             staged_.clear();
         }
-        std::uint64_t events = 0;
-        for (const auto &q : queues_)
-            events += q->executedEvents();
-        return events;
+        return queue_.executedEvents();
     }
 
   private:
@@ -273,21 +267,21 @@ class SparseDomains
         std::uint32_t dest;
     };
 
+    /** Runs in domain a % kBusy; its reschedule inherits the stamp. */
     void
     actorStep(std::uint32_t a)
     {
         const std::uint32_t d = a % kBusy;
         if (rng_.next() % 8 == 0)
             staged_.push_back(
-                Message{queues_[d]->now(), d,
+                Message{queue_.now(), d,
                         kBusy + static_cast<std::uint32_t>(
                                     rng_.next() % (kDomains - kBusy))});
         if (--firesLeft_[a] == 0) {
             --actorsLeft_;
             return;
         }
-        queues_[d]->scheduleAfter(nextDelta(rng_),
-                                  [this, a] { actorStep(a); });
+        queue_.scheduleAfter(nextDelta(rng_), [this, a] { actorStep(a); });
     }
 
     /** A sparse domain's reply to a message: half go back to a busy
@@ -297,7 +291,7 @@ class SparseDomains
     {
         if (rng_.next() % 2 == 0)
             staged_.push_back(Message{
-                queues_[d]->now(), d,
+                queue_.now(), d,
                 static_cast<std::uint32_t>(rng_.next() % kBusy)});
     }
 
@@ -308,11 +302,11 @@ class SparseDomains
     {
         if (actorsLeft_ == 0)
             return;
-        queues_[d]->scheduleAfter(20000 + rng_.next() % 10000,
-                                  [this, d] { timer(d); });
+        queue_.scheduleAfter(20000 + rng_.next() % 10000,
+                             [this, d] { timer(d); });
     }
 
-    std::vector<std::unique_ptr<EventQueue>> queues_;
+    EventQueue queue_;
     std::vector<std::uint32_t> firesLeft_;
     std::uint32_t actorsLeft_ = kActors;
     std::vector<Message> staged_;

@@ -3,11 +3,12 @@
  * Execution-domain context for the domain/epoch engine.
  *
  * The engine partitions the machine into fixed *domains* — one per
- * SM and one per L2-slice/DRAM-channel pair — each with a private
- * event queue (see GpuSystem::run). While a domain's events are
- * being executed, these thread-locals identify the domain and its
- * queue, so cross-cutting facilities can act on the caller's behalf
- * without threading a context parameter through every component:
+ * SM and one per L2-slice/DRAM-channel pair — whose events share one
+ * event queue (see GpuSystem::run). Every queued event carries the
+ * domain that scheduled it, and the queue sets tlsSimDomain to that
+ * domain while the event runs, so cross-cutting facilities can act on
+ * the caller's behalf without threading a context parameter through
+ * every component:
  *
  *   - the crossbar router stages outbound messages under the sending
  *     domain's canonical (cycle, domain, seq) key,
@@ -16,7 +17,10 @@
  *
  * Outside domain execution — construction, epoch barriers, unit tests
  * driving components directly — the domain is kDomainNone and every
- * consumer falls back to its immediate behaviour.
+ * consumer falls back to its immediate behaviour. Code that schedules
+ * a domain's first events from outside (SmCore::start, the end-of-run
+ * L2 flush) enters that domain with ScopedSimDomain, so the events are
+ * stamped with their owner.
  */
 
 #ifndef CACHECRAFT_COMMON_DOMAIN_HPP
@@ -31,16 +35,14 @@
 
 namespace cachecraft {
 
-class EventQueue;
-
 /** Sentinel: not executing inside any engine domain. */
 inline constexpr std::int32_t kDomainNone = -1;
 
+/** Domain ids must fit the event queue's 16-bit per-event stamp. */
+inline constexpr std::int32_t kMaxDomains = 0x7FFF;
+
 /** The domain whose events this thread is currently executing. */
 inline thread_local std::int32_t tlsSimDomain = kDomainNone;
-
-/** The event queue of the currently executing domain (null outside). */
-inline thread_local EventQueue *tlsSimQueue = nullptr;
 
 /**
  * Canonical merge key of one item a domain staged for the next epoch
@@ -102,25 +104,19 @@ applyStagedInOrder(std::vector<StagedLane<T>> &lanes,
 class ScopedSimDomain
 {
   public:
-    ScopedSimDomain(std::int32_t domain, EventQueue *queue)
-        : prevDomain_(tlsSimDomain), prevQueue_(tlsSimQueue)
+    explicit ScopedSimDomain(std::int32_t domain)
+        : prevDomain_(tlsSimDomain)
     {
         tlsSimDomain = domain;
-        tlsSimQueue = queue;
     }
 
-    ~ScopedSimDomain()
-    {
-        tlsSimDomain = prevDomain_;
-        tlsSimQueue = prevQueue_;
-    }
+    ~ScopedSimDomain() { tlsSimDomain = prevDomain_; }
 
     ScopedSimDomain(const ScopedSimDomain &) = delete;
     ScopedSimDomain &operator=(const ScopedSimDomain &) = delete;
 
   private:
     std::int32_t prevDomain_;
-    EventQueue *prevQueue_;
 };
 
 } // namespace cachecraft

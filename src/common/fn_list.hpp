@@ -10,8 +10,9 @@
  * indices. Chunks never move, so a callback runs in place in its node:
  * whatever it appends while running — to another list, or to a fresh
  * list for the same key — cannot invalidate it, even when that grows
- * the slab. Node indices are host bookkeeping and never reach the
- * simulation.
+ * the slab. Each node also carries a 16-bit tag its owner may use (the
+ * event queue keeps the event's engine domain there). Node indices
+ * are host bookkeeping and never reach the simulation.
  */
 
 #ifndef CACHECRAFT_COMMON_FN_LIST_HPP
@@ -69,8 +70,8 @@ class FnListSlab
         freeHead_ = node;
     }
 
-    /** Append @p fn at the tail of @p list. */
-    void
+    /** Append @p fn at the tail of @p list; returns its node. */
+    std::uint32_t
     pushBack(List &list, Fn &&fn)
     {
         const std::uint32_t node = acquire(std::move(fn));
@@ -79,6 +80,7 @@ class FnListSlab
         else
             nextOf(list.tail) = node;
         list.tail = node;
+        return node;
     }
 
     /** Unlink and return the head node of non-empty @p list; the
@@ -112,15 +114,24 @@ class FnListSlab
         return chunks_[node / kChunkNodes]->fn[node % kChunkNodes];
     }
 
+    /** The owner's 16-bit tag of @p node (unset until written). */
+    std::uint16_t &
+    tagOf(std::uint32_t node)
+    {
+        return chunks_[node / kChunkNodes]->tag[node % kChunkNodes];
+    }
+
   private:
     static constexpr std::uint32_t kChunkNodes = 256;
 
     /** kChunkNodes nodes, split into callbacks (one cache line each
-     *  for SmallFn) and next links (live and free lists share them). */
+     *  for SmallFn), next links (live and free lists share them) and
+     *  owner tags. */
     struct alignas(64) Chunk
     {
         std::array<Fn, kChunkNodes> fn;
         std::array<std::uint32_t, kChunkNodes> next;
+        std::array<std::uint16_t, kChunkNodes> tag;
     };
 
     std::uint32_t &

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/domain.hpp"
 #include "common/log.hpp"
 #include "protect/mrc_scheme.hpp"
 
@@ -54,6 +55,9 @@ SystemConfig::geometryError() const
         return "numSms must be positive";
     if (dram.numChannels == 0)
         return "at least one DRAM channel required";
+    if (std::uint64_t{numSms} + dram.numChannels > kMaxDomains)
+        return "numSms + DRAM channels must be at most 32767 (one engine "
+               "domain each)";
     if (sm.l1.lineBytes != kLineBytes || l2.cache.lineBytes != kLineBytes)
         return "L1/L2 must use the canonical 128 B line";
     if (sm.l1.sectorBytes != kSectorBytes ||

@@ -20,19 +20,16 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
 {
     config_.validate();
 
-    // Fixed domain decomposition: one event queue per SM and one per
-    // L2-slice/DRAM-channel pair, drained in turn under one
+    // Fixed domain decomposition: one domain per SM and one per
+    // L2-slice/DRAM-channel pair, whose events share events_ under one
     // epoch-barrier schedule (see run()).
     const unsigned num_slices = config_.dram.numChannels;
-    numDomains_ = config_.numSms + num_slices;
-    queues_.reserve(numDomains_);
-    for (unsigned d = 0; d < numDomains_; ++d)
-        queues_.push_back(std::make_unique<EventQueue>());
+    const unsigned num_domains = config_.numSms + num_slices;
     storeStage_.resize(config_.numSms);
     // Materialize (and, in debug builds, bind) every domain's arena
     // bundle now, so forDomain() lookups during the run never grow the
     // pool.
-    for (unsigned d = 0; d < numDomains_; ++d)
+    for (unsigned d = 0; d < num_domains; ++d)
         arenaPool_->forDomain(d).setDebugOwner(
             static_cast<std::int32_t>(d));
 
@@ -40,33 +37,27 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
         &stats_, config_.telemetry);
     map_ = std::make_unique<AddressMap>(config_.dram,
                                         config_.effectiveLayout());
-    std::vector<EventQueue *> channel_queues;
-    channel_queues.reserve(num_slices);
-    for (unsigned c = 0; c < num_slices; ++c)
-        channel_queues.push_back(&sliceQueue(c));
-    dram_ = std::make_unique<DramSystem>(*map_, config_.timing,
-                                         channel_queues, &stats_,
-                                         telemetry_.get());
+    dram_ = std::make_unique<DramSystem>(*map_, config_.timing, events_,
+                                         &stats_, telemetry_.get());
     codec_ = ecc::makeCodec(config_.codec);
 
     // The crossbars always run in router mode: send() stages under
     // the sending domain and the epoch barrier arbitrates in canonical
-    // order. The reference queue is unused in that mode.
+    // order, posting each hop to its destination port's domain.
     reqXbar_ = std::make_unique<Crossbar>("xbar.req", num_slices,
-                                          config_.xbarLatency, *queues_[0],
+                                          config_.xbarLatency, events_,
                                           &stats_, telemetry_.get());
     respXbar_ = std::make_unique<Crossbar>("xbar.resp", config_.numSms,
-                                           config_.xbarLatency,
-                                           *queues_[0], &stats_,
-                                           telemetry_.get());
-    std::vector<EventQueue *> req_ports;
+                                           config_.xbarLatency, events_,
+                                           &stats_, telemetry_.get());
+    std::vector<std::int32_t> req_ports;
     for (unsigned c = 0; c < num_slices; ++c)
-        req_ports.push_back(&sliceQueue(c));
-    reqXbar_->setRouter(std::move(req_ports), numDomains_);
-    std::vector<EventQueue *> resp_ports;
+        req_ports.push_back(sliceDomain(c));
+    reqXbar_->setRouter(std::move(req_ports), num_domains);
+    std::vector<std::int32_t> resp_ports;
     for (unsigned s = 0; s < config_.numSms; ++s)
-        resp_ports.push_back(&smQueue(s));
-    respXbar_->setRouter(std::move(resp_ports), numDomains_);
+        resp_ports.push_back(static_cast<std::int32_t>(s));
+    respXbar_->setRouter(std::move(resp_ports), num_domains);
 
     auto arch_read = [this](Addr addr) { return archRead(addr); };
     auto tag_of = [this](Addr addr) { return tagOf(addr); };
@@ -75,12 +66,12 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
     metaShadows_.reserve(num_slices);
     for (unsigned c = 0; c < num_slices; ++c) {
         metaShadows_.push_back(std::make_unique<SparseMemory>());
-        const unsigned domain = config_.numSms + c;
+        const auto domain = static_cast<unsigned>(sliceDomain(c));
         SchemeContext ctx;
         ctx.channel = static_cast<ChannelId>(c);
         ctx.map = map_.get();
         ctx.dram = dram_.get();
-        ctx.events = &sliceQueue(c);
+        ctx.events = &events_;
         ctx.codec = codec_.get();
         ctx.metaShadow = metaShadows_.back().get();
         ctx.stats = &stats_;
@@ -94,7 +85,7 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
         slice_params.cache.seed = config_.seed + c;
         slices_.push_back(std::make_unique<L2Slice>(
             strCat("l2.slice", c), static_cast<SliceId>(c), slice_params,
-            sliceQueue(c), std::move(scheme), arch_read, tag_of, &stats_,
+            events_, std::move(scheme), arch_read, tag_of, &stats_,
             telemetry_.get(), &arenaPool_->forDomain(domain)));
     }
 
@@ -140,12 +131,12 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
         auto l2_write = [this, s](Addr addr, ecc::MemTag tag) {
             // The store's architectural value is committed at the next
             // canonical epoch boundary, in (cycle, SM, issue-order)
-            // order — independent of domain drain order, and always
-            // before the slice can observe the stored data (the write
-            // message itself crosses the barrier later than the
-            // commit).
+            // order — independent of how domains' events interleave
+            // within the epoch, and always before the slice can
+            // observe the stored data (the write message itself
+            // crosses the barrier later than the commit).
             storeStage_[s].items.push_back(
-                StagedStore{addr, smQueue(s).now()});
+                StagedStore{addr, events_.now()});
             const SliceId slice = sliceOf(addr);
             reqXbar_->send(slice, [this, slice, addr, tag] {
                 slices_[slice]->write(addr, tag);
@@ -155,7 +146,7 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
         SmParams sm_params = config_.sm;
         sm_params.l1.seed = config_.seed + 1000 + s;
         sms_.push_back(std::make_unique<SmCore>(
-            strCat("sm", s), static_cast<SmId>(s), sm_params, smQueue(s),
+            strCat("sm", s), static_cast<SmId>(s), sm_params, events_,
             std::move(l2_read), std::move(l2_write), tag_of, &stats_,
             telemetry_.get()));
     }
@@ -169,9 +160,8 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
                 return static_cast<std::uint64_t>(ch->queueDepth());
             });
             // Gauges read the barrier clock (simNow_): they are polled
-            // at the epoch barrier while every domain is parked, and
-            // individual domain clocks may legitimately lag the
-            // barrier when idle.
+            // at the epoch barrier, where the queue's clock rests on
+            // its last event once it has drained.
             prof->addGauge(strCat("dram.ch", c, ".busy_banks"),
                            [this, ch] {
                                return static_cast<std::uint64_t>(
@@ -236,15 +226,6 @@ GpuSystem::onStore(Addr sector_addr)
     ++writeGeneration_.tryEmplace(sectorBase(sector_addr)).first;
 }
 
-Cycle
-GpuSystem::globalNow() const
-{
-    Cycle now = 0;
-    for (const auto &q : queues_)
-        now = std::max(now, q->now());
-    return now;
-}
-
 bool
 GpuSystem::anyStagedStores() const
 {
@@ -256,7 +237,7 @@ GpuSystem::applyStagedStores()
 {
     // Write-generation bumps must happen in issue order — two SMs
     // storing to the same sector in one epoch would otherwise commit
-    // in domain drain order — so the barrier commits every staged
+    // in event execution order — so the barrier commits every staged
     // store sorted by (issue cycle, source domain, lane index).
     applyStagedInOrder(
         storeStage_, storeOrder_,
@@ -339,38 +320,18 @@ GpuSystem::run(const KernelTrace &trace)
 
     const auto host_start = std::chrono::steady_clock::now();
 
-    // Distribute warps round-robin over the SMs.
+    // Distribute warps round-robin over the SMs. Each SM schedules its
+    // first issues inside its own domain, so they carry its stamp.
     for (std::size_t w = 0; w < trace.warps.size(); ++w)
         sms_[w % sms_.size()]->addWarp(&trace.warps[w]);
-    for (auto &sm : sms_)
-        sm->start();
+    for (std::size_t s = 0; s < sms_.size(); ++s) {
+        const ScopedSimDomain scope(static_cast<std::int32_t>(s));
+        sms_[s]->start();
+    }
 
     if (config_.telemetry.sampleInterval > 0)
         sampler_ = std::make_unique<telemetry::StatSampler>(
             &stats_, config_.telemetry.sampleInterval);
-    telemetry::Profiler *prof = telemetry_->profiler();
-    const Cycle prof_interval =
-        prof ? std::max<Cycle>(config_.telemetry.profileInterval, 1) : 0;
-
-    // Deterministic domain/epoch execution (see DESIGN.md §8.10).
-    //
-    // Every domain drains its private queue up to a shared epoch
-    // boundary, then the barrier performs all cross-domain work in
-    // canonical order: crossbar arbitration (by send cycle, source
-    // domain, source seq) and store commits (same key). The epoch
-    // length equals the crossbar latency (minimum 1), so every
-    // cross-domain delivery lands strictly inside a later epoch of its
-    // destination: a send at cycle s in the epoch covering
-    // [kE, kE+E-1] delivers at >= s+E >= (k+1)E, past that epoch's
-    // barrier at (k+1)E-1. The decomposition and this barrier schedule
-    // are the timing semantics the golden digest pins.
-    //
-    // Store commits additionally apply only at *canonical* boundaries
-    // (cycle (k+1)E-1), never at observer-inserted ones, so enabling
-    // the sampler/profiler/progress heartbeat stays timing-neutral.
-    const Cycle epoch = std::max<Cycle>(1, config_.xbarLatency);
-    constexpr Cycle kNever = EventQueue::kNoEventCycle;
-    std::vector<Cycle> next_at(numDomains_, kNever);
     Cycle close_floor = 0;
     auto close_sampler = [this, &close_floor](Cycle at) {
         if (sampler_ && at >= close_floor) {
@@ -379,17 +340,51 @@ GpuSystem::run(const KernelTrace &trace)
         }
     };
 
+    // Fixed-interval boundary observers, in firing order: occupancy
+    // profile, stat sampler, progress heartbeat. Each bounds the next
+    // barrier to its next multiple of interval and fires there.
+    struct Observer
+    {
+        Cycle interval;
+        std::function<void(Cycle)> fire;
+        Cycle at = 0; //!< next boundary, set before each epoch
+    };
+    std::vector<Observer> observers;
+    if (telemetry::Profiler *prof = telemetry_->profiler())
+        observers.push_back(
+            {std::max<Cycle>(config_.telemetry.profileInterval, 1),
+             [prof](Cycle) { prof->sampleOccupancy(); }});
+    if (sampler_)
+        observers.push_back({sampler_->interval(), close_sampler});
+    if (progressInterval_ > 0 && progressFn_)
+        observers.push_back({progressInterval_, [this](Cycle at) {
+                                 progressFn_(at, events_.executedEvents());
+                             }});
+
+    // Deterministic domain/epoch execution (see DESIGN.md §8.10).
+    //
+    // Every domain's events share events_, each stamped with its
+    // domain. The queue runs to a shared epoch boundary, then the
+    // barrier performs all cross-domain work in canonical order:
+    // crossbar arbitration (by send cycle, source domain, source seq)
+    // and store commits (same key). Domains share no simulated state
+    // inside an epoch, so the interleaving of their events within it
+    // cannot change any result. The epoch length equals the crossbar
+    // latency (minimum 1), so every cross-domain delivery lands
+    // strictly inside a later epoch: a send at cycle s in the epoch
+    // covering [kE, kE+E-1] delivers at >= s+E >= (k+1)E, past that
+    // epoch's barrier at (k+1)E-1. The decomposition and this barrier
+    // schedule are the timing semantics the golden digest pins.
+    //
+    // Store commits additionally apply only at *canonical* boundaries
+    // (cycle (k+1)E-1), never at observer-inserted ones, so enabling
+    // the observers stays timing-neutral.
+    const Cycle epoch = std::max<Cycle>(1, config_.xbarLatency);
     auto drain = [&](const char *what) {
         CC_HOST_ZONE_COUNTED("engine.drain");
         while (true) {
-            // One poll per domain per epoch: nothing runs between here
-            // and the drain pass below, which reuses these values.
-            Cycle earliest = kNever;
-            for (std::uint32_t d = 0; d < numDomains_; ++d) {
-                next_at[d] = queues_[d]->nextAt();
-                earliest = std::min(earliest, next_at[d]);
-            }
-            if (earliest == kNever) {
+            const Cycle earliest = events_.nextAt();
+            if (earliest == EventQueue::kNoEventCycle) {
                 if (!anyStagedStores())
                     break;
                 // Stores staged at an observer boundary with nothing
@@ -406,28 +401,14 @@ GpuSystem::run(const KernelTrace &trace)
             if (anyStagedStores())
                 limit = std::min(limit,
                                  (simNow_ / epoch) * epoch + (epoch - 1));
-            const Cycle sample_at =
-                sampler_ ? sampler_->nextBoundary(simNow_) : kNever;
-            const Cycle profile_at =
-                prof ? (simNow_ / prof_interval + 1) * prof_interval
-                     : kNever;
-            const Cycle progress_at =
-                progressInterval_
-                    ? (simNow_ / progressInterval_ + 1) *
-                          progressInterval_
-                    : kNever;
-            limit = std::min({limit, sample_at, profile_at, progress_at});
-
-            for (std::uint32_t d = 0; d < numDomains_; ++d) {
-                if (next_at[d] > limit)
-                    continue;
-                ScopedSimDomain scope(static_cast<std::int32_t>(d),
-                                      queues_[d].get());
-                if (!queues_[d]->runUntil(limit))
-                    panic(what);
+            for (Observer &o : observers) {
+                o.at = (simNow_ / o.interval + 1) * o.interval;
+                limit = std::min(limit, o.at);
             }
+            if (!events_.runUntil(limit))
+                panic(what);
 
-            // ---- epoch barrier: every domain parked at limit ----
+            // ---- epoch barrier: the queue is parked at limit ----
             // (The zone keeps its historical name: perfbench's
             // zone.barrier_share reads it.)
             CC_HOST_ZONE("shard.barrier");
@@ -436,18 +417,12 @@ GpuSystem::run(const KernelTrace &trace)
             respXbar_->applyStaged();
             if ((limit + 1) % epoch == 0)
                 applyStagedStores();
-            if (prof && limit >= profile_at)
-                prof->sampleOccupancy();
-            if (limit >= sample_at)
-                close_sampler(limit);
-            if (progressFn_ && limit >= progress_at) {
-                std::uint64_t executed = 0;
-                for (const auto &q : queues_)
-                    executed += q->executedEvents();
-                progressFn_(limit, executed);
+            for (Observer &o : observers) {
+                if (limit >= o.at)
+                    o.fire(limit);
             }
         }
-        close_sampler(globalNow());
+        close_sampler(events_.now());
     };
 
     drain("event budget exceeded: livelock in the simulator");
@@ -457,7 +432,7 @@ GpuSystem::run(const KernelTrace &trace)
     }
 
     RunStats rs;
-    rs.cycles = globalNow();
+    rs.cycles = events_.now();
     for (const auto &sm : sms_) {
         rs.instructions += sm->statInsts.value();
         rs.memInstructions += sm->statMemInsts.value();
@@ -497,14 +472,16 @@ GpuSystem::run(const KernelTrace &trace)
     // numbers exclude the artificial end-of-run flush — but the epoch
     // series keeps sampling through it, so summed deltas match the
     // live registry that reports render.)
-    for (auto &slice : slices_)
-        slice->flushAll();
+    for (unsigned c = 0; c < slices_.size(); ++c) {
+        const ScopedSimDomain scope(sliceDomain(c));
+        slices_[c]->flushAll();
+    }
     drain("event budget exceeded during flush");
     for (const auto &sm : sms_)
         sm->verifyDrained();
     for (const auto &slice : slices_)
         slice->verifyDrained();
-    close_sampler(globalNow());
+    close_sampler(events_.now());
 
     if (const telemetry::FlightRecorder *fr = telemetry_->recorder();
         fr && fr->dropped() > 0) {
@@ -512,10 +489,8 @@ GpuSystem::run(const KernelTrace &trace)
             strCat("flight ring overflowed: ", fr->dropped(),
                    " oldest records dropped (raise flightCapacity)"));
     }
-    std::uint64_t valve_trips = 0;
-    for (const auto &q : queues_)
-        valve_trips += q->valveTrips();
-    if (valve_trips > 0) {
+    if (const std::uint64_t valve_trips = events_.valveTrips();
+        valve_trips > 0) {
         rs.warnings.push_back(
             strCat("event-queue safety valve tripped ", valve_trips,
                    " time(s): execution was truncated"));
@@ -530,13 +505,8 @@ GpuSystem::run(const KernelTrace &trace)
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       host_start)
             .count();
-    for (const auto &q : queues_) {
-        rs.simThroughput.eventsExecuted += q->executedEvents();
-        // Summed across domains: an upper bound on simultaneous
-        // outstanding events, comparable run-to-run because the
-        // decomposition is fixed.
-        rs.simThroughput.peakQueueDepth += q->peakDepth();
-    }
+    rs.simThroughput.eventsExecuted = events_.executedEvents();
+    rs.simThroughput.peakQueueDepth = events_.peakDepth();
     if (rs.simThroughput.hostSeconds > 0.0) {
         rs.simThroughput.eventsPerSec =
             static_cast<double>(rs.simThroughput.eventsExecuted) /

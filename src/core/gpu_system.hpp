@@ -275,19 +275,13 @@ class GpuSystem
     /** Slice (== channel) owning @p addr. */
     SliceId sliceOf(Addr addr) const;
 
-    /** @{ Domain topology: domain s = SM s, domain numSms + c = the
-     *  L2 slice + DRAM channel pair c. */
-    EventQueue &smQueue(unsigned s) { return *queues_[s]; }
-    EventQueue &
-    sliceQueue(unsigned c)
+    /** Domain topology: domain s = SM s, domain numSms + c = the L2
+     *  slice + DRAM channel pair c. */
+    std::int32_t
+    sliceDomain(unsigned c) const
     {
-        return *queues_[config_.numSms + c];
+        return static_cast<std::int32_t>(config_.numSms + c);
     }
-    /** @} */
-
-    /** Latest cycle any domain has executed to (rs.cycles semantics:
-     *  drained queues rest on their last executed event). */
-    Cycle globalNow() const;
 
     /** True if any SM domain has uncommitted staged stores. */
     bool anyStagedStores() const;
@@ -297,8 +291,7 @@ class GpuSystem
 
     SystemConfig config_;
     StatRegistry stats_;
-    unsigned numDomains_ = 0;
-    std::vector<std::unique_ptr<EventQueue>> queues_; //!< per domain
+    EventQueue events_; //!< every domain's events, stamped with it
     std::unique_ptr<EngineArenaPool> ownedArenas_;
     EngineArenaPool *arenaPool_;
     std::unique_ptr<telemetry::Telemetry> telemetry_;
@@ -320,7 +313,7 @@ class GpuSystem
     std::vector<StagedKey> storeOrder_; //!< applyStagedStores scratch
     bool initialized_ = false;
     bool ran_ = false;
-    /** Barrier clock for occupancy gauges (domain clocks may lag). */
+    /** Barrier clock for occupancy gauges and observer boundaries. */
     Cycle simNow_ = 0;
     /** @{ Progress heartbeat (see setProgress). */
     Cycle progressInterval_ = 0;

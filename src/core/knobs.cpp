@@ -168,6 +168,12 @@ constexpr Knob kKnobs[] = {
             }),
 };
 
+/** The leading rows that set the kernel (see setsKernel). */
+constexpr std::size_t kKernelKnobs = 5;
+static_assert(std::string_view(kKnobs[kKernelKnobs - 1].name) == "seed" &&
+                  std::string_view(kKnobs[kKernelKnobs].name) == "scheme",
+              "the kernel rows lead the table, ending at seed");
+
 /**
  * A JSON number as the text applyKnobText parses: an integer below
  * 2^64 prints exactly, a larger one as 2^64 (out of range for every
@@ -202,6 +208,16 @@ findKnob(std::string_view name)
             return &knob;
     }
     return nullptr;
+}
+
+bool
+setsKernel(const Knob &knob)
+{
+    for (std::size_t i = 0; i < kKernelKnobs; ++i) {
+        if (&knob == &kKnobs[i])
+            return true;
+    }
+    return false;
 }
 
 std::vector<std::string>

@@ -68,6 +68,13 @@ std::span<const Knob> knobTable();
 /** The row named @p name, or nullptr. */
 const Knob *findKnob(std::string_view name);
 
+/**
+ * True if table row @p knob sets the built-in kernel (the workload or
+ * its sizing) rather than the machine; a trace file replaces all of
+ * them.
+ */
+bool setsKernel(const Knob &knob);
+
 /** Every knob name, sorted. */
 std::vector<std::string> knownKnobs();
 

@@ -190,24 +190,6 @@ DramSystem::DramSystem(const AddressMap &map, const DramTiming &timing,
     }
 }
 
-DramSystem::DramSystem(const AddressMap &map, const DramTiming &timing,
-                       const std::vector<EventQueue *> &channel_queues,
-                       StatRegistry *stats,
-                       telemetry::Telemetry *telemetry)
-    : map_(map)
-{
-    const unsigned n = map.geometry().numChannels;
-    if (channel_queues.size() != n)
-        panic("DramSystem needs one event queue per channel");
-    channels_.reserve(n);
-    storage_.resize(n);
-    for (unsigned c = 0; c < n; ++c) {
-        channels_.push_back(std::make_unique<DramChannel>(
-            strCat("dram.ch", c), static_cast<ChannelId>(c), map, timing,
-            *channel_queues[c], stats, telemetry));
-    }
-}
-
 void
 DramSystem::readBytes(ChannelId channel, Addr phys,
                       std::span<std::uint8_t> out) const

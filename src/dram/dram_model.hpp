@@ -164,17 +164,6 @@ class DramSystem
                EventQueue &events, StatRegistry *stats,
                telemetry::Telemetry *telemetry = nullptr);
 
-    /**
-     * Domain wiring: channel @p c runs on @p channel_queues[c] (its
-     * domain's private queue). Backing storage is per-channel either
-     * way, so a channel's functional reads/writes never touch another
-     * domain's state.
-     */
-    DramSystem(const AddressMap &map, const DramTiming &timing,
-               const std::vector<EventQueue *> &channel_queues,
-               StatRegistry *stats,
-               telemetry::Telemetry *telemetry = nullptr);
-
     /** Issue a 32 B transaction on @p channel. */
     void
     enqueue(ChannelId channel, DramRequest request)

@@ -22,12 +22,12 @@ Crossbar::Crossbar(std::string name, unsigned num_ports, Cycle latency,
 }
 
 void
-Crossbar::setRouter(std::vector<EventQueue *> port_queues,
+Crossbar::setRouter(std::vector<std::int32_t> port_domains,
                     unsigned num_domains)
 {
-    if (port_queues.size() != portFreeAt_.size())
-        panic("crossbar router needs one destination queue per port");
-    portQueues_ = std::move(port_queues);
+    if (port_domains.size() != portFreeAt_.size())
+        panic("crossbar router needs one destination domain per port");
+    portDomains_ = std::move(port_domains);
     staged_.resize(num_domains);
 }
 
@@ -49,24 +49,24 @@ Crossbar::arbitrate(unsigned port, Cycle sent, std::uint64_t trace_id,
                        response ? telemetry::kFlagResponse : 0);
     }
     portFreeAt_[port] = accept_at + 1;
-    if (portQueues_.empty()) {
+    if (portDomains_.empty()) {
         events_.schedule(accept_at + latency_, std::move(fn));
         return;
     }
     // Router delivery: never at or before the send cycle, so a
-    // zero-latency crossbar still delivers strictly in the receiving
-    // domain's future (identical to immediate mode for latency >= 1).
+    // zero-latency crossbar still delivers strictly in the queue's
+    // future (identical to immediate mode for latency >= 1).
     const Cycle deliver_at =
         std::max(accept_at + latency_, sent + 1);
-    portQueues_[port]->postMessage(deliver_at, sent, src, seq,
-                                   std::move(fn));
+    events_.postMessage(deliver_at, sent, src, seq, portDomains_[port],
+                        std::move(fn));
 }
 
 void
 Crossbar::send(unsigned port, SmallFn fn, std::uint64_t trace_id,
                bool response)
 {
-    if (portQueues_.empty()) {
+    if (portDomains_.empty()) {
         arbitrate(port, events_.now(), trace_id, response, std::move(fn),
                   0, 0);
         return;
@@ -77,8 +77,7 @@ Crossbar::send(unsigned port, SmallFn fn, std::uint64_t trace_id,
         static_cast<std::size_t>(tlsSimDomain) >= staged_.size())
         panic("router-mode crossbar send outside an engine domain");
     staged_[static_cast<std::size_t>(tlsSimDomain)].items.push_back(
-        Staged{std::move(fn), tlsSimQueue->now(), trace_id, port,
-               response});
+        Staged{std::move(fn), events_.now(), trace_id, port, response});
 }
 
 void

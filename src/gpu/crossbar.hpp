@@ -9,8 +9,8 @@
  * Two operating modes:
  *
  *   Immediate (default): send() arbitrates and schedules the delivery
- *   on the crossbar's own event queue right away — the single-queue
- *   behaviour unit tests and standalone components use.
+ *   on the event queue right away — the behaviour unit tests and
+ *   standalone components use.
  *
  *   Router (setRouter()): the crossbar is the only cross-domain edge
  *   of the domain/epoch engine. send() — called from the *sending*
@@ -18,12 +18,12 @@
  *   per-source-domain buffer. At every epoch barrier GpuSystem::run
  *   calls applyStaged(), which arbitrates all staged messages in
  *   canonical (send cycle, source domain, source seq) order and posts
- *   each to its destination port's domain queue via
+ *   each, stamped with its destination port's domain, via
  *   EventQueue::postMessage. The canonical order makes port
  *   arbitration, contention stats, and delivery times independent of
- *   the order in which domains were drained; the epoch length
- *   (<= crossbar latency) guarantees every delivery lands strictly in
- *   the destination's future.
+ *   the order in which domains' events ran within the epoch; the
+ *   epoch length (<= crossbar latency) guarantees every delivery
+ *   lands strictly in the queue's future.
  */
 
 #ifndef CACHECRAFT_GPU_CROSSBAR_HPP
@@ -58,12 +58,12 @@ class Crossbar
              telemetry::Telemetry *telemetry = nullptr);
 
     /**
-     * Enter router mode (see file comment): @p port_queues maps each
-     * destination port to its domain's event queue; @p num_domains is
-     * the number of source domains that may call send(). Call once,
-     * before any traffic.
+     * Enter router mode (see file comment): @p port_domains maps each
+     * destination port to the domain its deliveries run in;
+     * @p num_domains is the number of source domains that may call
+     * send(). Call once, before any traffic.
      */
-    void setRouter(std::vector<EventQueue *> port_queues,
+    void setRouter(std::vector<std::int32_t> port_domains,
                    unsigned num_domains);
 
     /**
@@ -79,8 +79,8 @@ class Crossbar
     /**
      * Router mode, barrier-only: arbitrate every staged message in
      * canonical (send cycle, source domain, source seq) order and post
-     * it to its destination domain queue. Called at every epoch
-     * barrier, while all domains are parked.
+     * it to its destination domain. Called at every epoch barrier,
+     * between runUntil() calls.
      */
     void applyStaged();
 
@@ -108,7 +108,8 @@ class Crossbar
     };
 
     /** Arbitrate one message sent at @p sent for @p port and deliver
-     *  @p fn (immediate mode: schedule; router mode via @p post). */
+     *  @p fn (immediate mode: schedule; router mode: post to the
+     *  port's domain). */
     void arbitrate(unsigned port, Cycle sent, std::uint64_t trace_id,
                    bool response, SmallFn fn, std::uint32_t src,
                    std::uint32_t seq);
@@ -118,7 +119,7 @@ class Crossbar
     EventQueue &events_;
     telemetry::Telemetry *telemetry_;
     std::vector<Cycle> portFreeAt_;
-    std::vector<EventQueue *> portQueues_;   //!< empty = immediate mode
+    std::vector<std::int32_t> portDomains_;  //!< empty = immediate mode
     std::vector<StagedLane<Staged>> staged_; //!< per source domain
     std::vector<StagedKey> order_; //!< applyStaged scratch, reused
 };

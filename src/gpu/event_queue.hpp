@@ -28,17 +28,23 @@
  * words after now's, else wrapped to the start of the wheel) and one
  * on the chosen word.
  *
+ * Every event carries the engine domain that owns it (a 16-bit stamp
+ * beside its slab node's next link; see common/domain.hpp).
+ * schedule() stamps the domain currently executing (tlsSimDomain), so
+ * an event's follow-ups inherit its domain, and runUntil() sets
+ * tlsSimDomain to each event's stamp while it runs. Events scheduled
+ * outside any domain run under kDomainNone.
+ *
  * The domain/epoch engine adds a second ingress: postMessage()
- * delivers a cross-domain message (a crossbar hop from another domain)
- * into a small inbox heap of canonical
+ * delivers a cross-domain message (a crossbar hop) to a named domain
+ * through a small inbox heap of canonical
  * (delivery cycle, send cycle, source domain, source seq) keys; each
  * key names a slab node holding the message's callback, so heap moves
  * shuffle 32-byte keys, never callbacks.
  * Messages for cycle D execute *before* D's wheel bucket, in key
- * order — a total order independent of the order in which domains
- * were drained. Only the epoch barrier posts, while this queue's
- * domain is parked; deliveries must be strictly in this queue's
- * future.
+ * order — a total order independent of the order in which the
+ * barrier posted them. Only the epoch barrier posts, between
+ * runUntil() calls; deliveries must be strictly in the future.
  */
 
 #ifndef CACHECRAFT_GPU_EVENT_QUEUE_HPP
@@ -50,6 +56,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/domain.hpp"
 #include "common/fn_list.hpp"
 #include "common/inplace_function.hpp"
 #include "common/log.hpp"
@@ -74,10 +81,11 @@ class EventQueue
     {
         if (when < now_)
             panic("event scheduled in the past");
+        const auto domain = static_cast<std::uint16_t>(tlsSimDomain);
         if (when - now_ < kWheelSlots) {
-            append(when & kWheelMask, std::move(fn));
+            append(when & kWheelMask, domain, std::move(fn));
         } else {
-            far_.push_back(FarEvent{when, seq_, std::move(fn)});
+            far_.push_back(FarEvent{when, seq_, domain, std::move(fn)});
             std::push_heap(far_.begin(), far_.end(), FarAfter{});
         }
         ++seq_;
@@ -94,20 +102,22 @@ class EventQueue
     }
 
     /**
-     * Deliver a cross-domain message: run @p fn at cycle @p when
-     * (strictly after now()), ordered against other messages by the
-     * canonical (when, sent, src, seq) key and before any wheel-bucket
-     * event of cycle @p when. Barrier-only; see file comment.
+     * Deliver a cross-domain message: run @p fn in domain @p dest at
+     * cycle @p when (strictly after now()), ordered against other
+     * messages by the canonical (when, sent, src, seq) key and before
+     * any wheel-bucket event of cycle @p when. Barrier-only; see file
+     * comment.
      */
     void
     postMessage(Cycle when, Cycle sent, std::uint32_t src,
-                std::uint32_t seq, EventFn fn)
+                std::uint32_t seq, std::int32_t dest, EventFn fn)
     {
         if (when <= now_)
             panic("cross-domain message posted at or before the "
-                  "receiver's clock");
-        inbox_.push_back(
-            InboxKey{when, sent, src, seq, slab_.acquire(std::move(fn))});
+                  "queue's clock");
+        const std::uint32_t node = slab_.acquire(std::move(fn));
+        slab_.tagOf(node) = static_cast<std::uint16_t>(dest);
+        inbox_.push_back(InboxKey{when, sent, src, seq, node});
         std::push_heap(inbox_.begin(), inbox_.end(), InboxAfter{});
         ++seq_;
         ++pending_;
@@ -138,6 +148,8 @@ class EventQueue
      * @p limit exactly (so a caller sampling at epoch boundaries sees
      * aligned cycles); a drained queue leaves the clock at the last
      * executed event.
+     * Each event runs with tlsSimDomain set to its stamp; the caller's
+     * domain is restored on return.
      * @return true if the bound was reached (or the queue drained);
      *         false if the @p max_events valve tripped.
      */
@@ -149,6 +161,7 @@ class EventQueue
         CC_HOST_ZONE("events.run_until");
         if (now_ > limit)
             return true;
+        const ScopedSimDomain caller(tlsSimDomain);
         std::uint64_t budget = max_events;
         while (true) {
             // Inbox messages for this cycle run before its bucket, in
@@ -162,10 +175,7 @@ class EventQueue
                 std::pop_heap(inbox_.begin(), inbox_.end(), InboxAfter{});
                 const std::uint32_t node = inbox_.back().node;
                 inbox_.pop_back();
-                ++executed_;
-                --pending_;
-                slab_.fnOf(node)();
-                slab_.release(node);
+                runNode(node);
             }
             // Unlink each event before running it in place, so
             // re-entrant scheduling at now() appends behind it in this
@@ -181,10 +191,7 @@ class EventQueue
                 const std::uint32_t node = slab_.popFront(bucket);
                 if (bucket.empty())
                     markEmpty(slot);
-                ++executed_;
-                --pending_;
-                slab_.fnOf(node)();
-                slab_.release(node);
+                runNode(node);
             }
             const Cycle next = nextEventCycle();
             if (next == kNoEvent)
@@ -227,8 +234,8 @@ class EventQueue
 
     /**
      * Earliest pending cycle (wheel, far heap, or inbox), or
-     * kNoEventCycle when drained. The epoch loop polls this to skip
-     * idle domains and to compute the global skip-ahead target.
+     * kNoEventCycle when drained. The epoch loop polls this once per
+     * epoch to skip idle epochs wholesale.
      */
     Cycle
     nextAt() const
@@ -254,6 +261,7 @@ class EventQueue
     {
         Cycle when;
         std::uint64_t seq;
+        std::uint16_t domain;
         EventFn fn;
     };
 
@@ -339,17 +347,30 @@ class EventQueue
     {
         while (!far_.empty() && far_.front().when - now_ < kWheelSlots) {
             std::pop_heap(far_.begin(), far_.end(), FarAfter{});
-            append(far_.back().when & kWheelMask,
+            append(far_.back().when & kWheelMask, far_.back().domain,
                    std::move(far_.back().fn));
             far_.pop_back();
         }
     }
 
-    /** Link @p fn at the tail of @p slot's bucket. */
+    /** Run unlinked @p node in place under its domain, then free it
+     *  (kDomainNone round-trips through the stamp as 0xFFFF). */
     void
-    append(std::size_t slot, EventFn &&fn)
+    runNode(std::uint32_t node)
     {
-        slab_.pushBack(wheel_[slot], std::move(fn));
+        ++executed_;
+        --pending_;
+        tlsSimDomain = static_cast<std::int16_t>(slab_.tagOf(node));
+        slab_.fnOf(node)();
+        slab_.release(node);
+    }
+
+    /** Link @p fn, owned by @p domain, at the tail of @p slot's
+     *  bucket. */
+    void
+    append(std::size_t slot, std::uint16_t domain, EventFn &&fn)
+    {
+        slab_.tagOf(slab_.pushBack(wheel_[slot], std::move(fn))) = domain;
         const std::size_t word = slot >> 6;
         occupied_[word] |= std::uint64_t{1} << (slot & 63);
         summary_ |= std::uint64_t{1} << word;

@@ -53,13 +53,6 @@ class StatSampler
 
     Cycle interval() const { return interval_; }
 
-    /** End cycle of the epoch containing @p now. */
-    Cycle
-    nextBoundary(Cycle now) const
-    {
-        return (now / interval_ + 1) * interval_;
-    }
-
     /** Close the epoch ending at @p at: record deltas since the last
      *  snapshot (no-op row elided when nothing changed). */
     void closeEpoch(Cycle at);

@@ -61,3 +61,38 @@ expect_rejected("wants a positive MiB footprint"
                 "${HOSTPROF_TOOL}" --footprint-mib 0)
 expect_rejected("wants a positive warp count" "${SIM_TOOL}" --warps 0)
 expect_rejected("unknown scheme" "${HOSTPROF_TOOL}" --scheme bogus)
+
+# A flag the chosen mode would ignore is rejected before any output,
+# naming the flag: every knob next to hostprof --campaign (the spec
+# sets each point's knobs), and the kernel knobs (workload, sizing,
+# seed) next to sim --trace (the trace file is the kernel).
+expect_rejected("--scheme cannot be combined with --campaign"
+                "${HOSTPROF_TOOL}" --campaign tiny.json --out d
+                --scheme cachecraft --warps 4096 --gto)
+expect_rejected("--no-gto cannot be combined with --campaign"
+                "${HOSTPROF_TOOL}" --no-gto --campaign tiny.json --out d)
+expect_rejected("--warps cannot be combined with --trace"
+                "${SIM_TOOL}" --trace k.trace --scheme cachecraft --warps 4)
+foreach(kernel_flag --workload=gemm --footprint-mib=2 --mem-insts=4
+                    --seed=3)
+    string(REPLACE "=" ";" kernel_args "${kernel_flag}")
+    list(GET kernel_args 0 flag_name)
+    expect_rejected("${flag_name} cannot be combined with --trace"
+                    "${SIM_TOOL}" ${kernel_args} --trace k.trace)
+endforeach()
+
+# Machine knobs stay valid next to --trace.
+set(trace_file "${CMAKE_CURRENT_BINARY_DIR}/cli_check_gemm.trace")
+execute_process(COMMAND "${SIM_TOOL}" --workload gemm --warps 4
+                        --dump-trace "${trace_file}"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc STREQUAL "0")
+    message(FATAL_ERROR "dumping a trace exited ${rc}:\n${err}")
+endif()
+execute_process(COMMAND "${SIM_TOOL}" --trace "${trace_file}"
+                        --scheme cachecraft --l2-kib 256 --quiet
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+file(REMOVE "${trace_file}")
+if(NOT rc STREQUAL "0")
+    message(FATAL_ERROR "--trace with machine knobs exited ${rc}:\n${err}")
+endif()

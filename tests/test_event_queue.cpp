@@ -2,8 +2,9 @@
  * @file
  * Tests for the discrete-event engine: ordering, deterministic
  * tie-breaking, re-entrant scheduling, the livelock valve, the
- * wheel/overflow-heap horizon, and equivalence with a brute-force
- * reference model under randomized schedules.
+ * wheel/overflow-heap horizon, per-event domain stamps, and
+ * equivalence with a brute-force reference model under randomized
+ * schedules.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/domain.hpp"
 #include "common/rng.hpp"
 #include "gpu/event_queue.hpp"
 
@@ -225,9 +227,9 @@ TEST(EventQueue, NextAtSeesFarHeapAndInboxWithEmptyWheel)
     std::vector<int> order;
     q.schedule(10000, [&] { order.push_back(2); }); // far
     EXPECT_EQ(q.nextAt(), 10000u);
-    q.postMessage(9000, 0, 3, 0, [&] { order.push_back(1); });
+    q.postMessage(9000, 0, 3, 0, 0, [&] { order.push_back(1); });
     EXPECT_EQ(q.nextAt(), 9000u);
-    q.postMessage(50, 0, 1, 0, [&] { order.push_back(0); });
+    q.postMessage(50, 0, 1, 0, 0, [&] { order.push_back(0); });
     EXPECT_EQ(q.nextAt(), 50u);
     EXPECT_TRUE(q.runUntil(50));
     EXPECT_EQ(q.nextAt(), 9000u);
@@ -343,11 +345,71 @@ TEST(EventQueue, ValveTripMidBucketResumesInOrder)
     EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueue, EventRunsInItsSchedulingDomainAndChildrenInherit)
+{
+    EventQueue q;
+    std::vector<std::int32_t> seen;
+    {
+        const ScopedSimDomain scope(3);
+        q.schedule(10, [&] {
+            seen.push_back(tlsSimDomain);
+            q.schedule(12, [&] { seen.push_back(tlsSimDomain); });
+            q.scheduleAfter(5000, [&] { seen.push_back(tlsSimDomain); });
+        });
+    }
+    EXPECT_EQ(tlsSimDomain, kDomainNone);
+    EXPECT_TRUE(q.run());
+    // The far child went through the overflow heap and kept its stamp.
+    EXPECT_EQ(seen, (std::vector<std::int32_t>{3, 3, 3}));
+    EXPECT_EQ(tlsSimDomain, kDomainNone); // restored after the drain
+}
+
+TEST(EventQueue, MessageRunsInItsDestinationDomainBeforeTheBucket)
+{
+    EventQueue q;
+    std::vector<std::pair<int, std::int32_t>> seen;
+    {
+        const ScopedSimDomain scope(2);
+        q.schedule(7, [&] { seen.emplace_back(1, tlsSimDomain); });
+    }
+    q.postMessage(7, 0, 2, 0, 5, [&] {
+        seen.emplace_back(0, tlsSimDomain);
+        // A follow-up of a delivered message stays in its domain.
+        q.schedule(7, [&] { seen.emplace_back(2, tlsSimDomain); });
+    });
+    EXPECT_TRUE(q.run());
+    const std::vector<std::pair<int, std::int32_t>> expected = {
+        {0, 5}, {1, 2}, {2, 5}};
+    EXPECT_EQ(seen, expected);
+}
+
+TEST(EventQueue, EventsScheduledOutsideAnyDomainRunUnderNone)
+{
+    EventQueue q;
+    std::vector<std::int32_t> seen;
+    q.schedule(1, [&] { seen.push_back(tlsSimDomain); });
+    {
+        const ScopedSimDomain scope(4);
+        q.schedule(2, [&] { seen.push_back(tlsSimDomain); });
+    }
+    q.schedule(3, [&] { seen.push_back(tlsSimDomain); });
+    {
+        // The caller's own domain is restored when runUntil returns.
+        const ScopedSimDomain caller(9);
+        EXPECT_TRUE(q.runUntil(3));
+        EXPECT_EQ(tlsSimDomain, 9);
+    }
+    EXPECT_EQ(seen, (std::vector<std::int32_t>{kDomainNone, 4,
+                                               kDomainNone}));
+}
+
 /**
  * Brute-force reference queue: a vector scanned for the minimum
  * (when, message-first, key) on every pop — messages for a cycle run
  * before its scheduled events, ordered by (sent, src, seq); scheduled
- * events order by insertion. Obviously correct, O(n) per event.
+ * events order by insertion. Each event runs in its domain: the
+ * scheduler's for scheduled events, the destination for messages.
+ * Obviously correct, O(n) per event.
  */
 class ReferenceQueue
 {
@@ -358,7 +420,8 @@ class ReferenceQueue
     schedule(Cycle when, std::function<void()> fn)
     {
         ASSERT_GE(when, now_);
-        events_.push_back(Event{when, {1, 0, 0, seq_++}, std::move(fn)});
+        events_.push_back(Event{when, {1, 0, 0, seq_++}, tlsSimDomain,
+                                std::move(fn)});
     }
 
     void
@@ -369,10 +432,12 @@ class ReferenceQueue
 
     void
     postMessage(Cycle when, Cycle sent, std::uint32_t src,
-                std::uint32_t seq, std::function<void()> fn)
+                std::uint32_t seq, std::int32_t dest,
+                std::function<void()> fn)
     {
         ASSERT_GT(when, now_);
-        events_.push_back(Event{when, {0, sent, src, seq}, std::move(fn)});
+        events_.push_back(
+            Event{when, {0, sent, src, seq}, dest, std::move(fn)});
     }
 
     bool empty() const { return events_.empty(); }
@@ -405,6 +470,7 @@ class ReferenceQueue
             events_.erase(events_.begin() +
                           static_cast<std::ptrdiff_t>(best));
             now_ = ev.when;
+            const ScopedSimDomain scope(ev.domain);
             ev.fn();
         }
         if (!events_.empty() && now_ < limit)
@@ -417,6 +483,7 @@ class ReferenceQueue
         Cycle when;
         /** (0 = message / 1 = scheduled, sent, src, seq) */
         std::tuple<int, Cycle, std::uint32_t, std::uint64_t> key;
+        std::int32_t domain;
         std::function<void()> fn;
     };
 
@@ -429,10 +496,10 @@ class ReferenceQueue
  * Property test: a randomized self-rescheduling workload (deltas
  * spanning both sides of the wheel horizon, bursts of ties, random
  * runUntil interleavings, cross-domain messages posted between
- * slices) must execute in the identical order on the real engine and
- * on the reference model, and nextAt() must equal the brute-force
- * minimum of the pending cycles after every schedule, post and
- * runUntil.
+ * slices) must execute in the identical order, each event in the same
+ * domain, on the real engine and on the reference model, and nextAt()
+ * must equal the brute-force minimum of the pending cycles after every
+ * schedule, post and runUntil.
  */
 TEST(EventQueue, MatchesReferenceModelOnRandomSchedules)
 {
@@ -458,6 +525,7 @@ TEST(EventQueue, MatchesReferenceModelOnRandomSchedules)
                                                        Cycle when) {
                 pending.erase(pending.find(when));
                 executed.push_back(id);
+                executed.push_back(tlsSimDomain);
                 for (int child = 0; child < 2; ++child) {
                     if (budget-- <= 0)
                         return;
@@ -490,6 +558,8 @@ TEST(EventQueue, MatchesReferenceModelOnRandomSchedules)
                 const int id_root = next_id++;
                 const Cycle at = rng.next() % 6000;
                 pending.insert(at);
+                // Roots in domains none, 0, 1, 2; children inherit.
+                const ScopedSimDomain scope(i % 4 - 1);
                 q.schedule(at, [&fire, id_root, at] { fire(id_root, at); });
                 check_next();
             }
@@ -509,6 +579,7 @@ TEST(EventQueue, MatchesReferenceModelOnRandomSchedules)
                     const int id_msg = next_id++;
                     pending.insert(at);
                     q.postMessage(at, sent, src, next_msg++,
+                                  static_cast<std::int32_t>((src + 1) % 3),
                                   [&fire, id_msg, at] {
                                       fire(id_msg, at);
                                   });

@@ -2,14 +2,16 @@
  * @file
  * Semantics of the domain/epoch engine's cross-domain edges.
  *
- * GpuSystem::run() drains a fixed domain decomposition (one event
- * queue per SM and per L2-slice/DRAM-channel pair) under a fixed
- * epoch-barrier schedule; the crossbar in router mode is the only
- * cross-domain edge. These tests pin its behaviour:
+ * GpuSystem::run() runs a fixed domain decomposition (one domain per
+ * SM and per L2-slice/DRAM-channel pair, every event stamped with its
+ * domain on one event queue) under a fixed epoch-barrier schedule;
+ * the crossbar in router mode is the only cross-domain edge. These
+ * tests pin its behaviour:
  *   - a crossbar-barrier reference model: staged router-mode traffic
  *     arbitrated at a barrier must match both hand-computed delivery
  *     times and the immediate-mode crossbar fed the same messages in
- *     canonical order;
+ *     canonical order, whatever order the sources ran in, and each
+ *     delivery must run in its port's domain;
  *   - barrier batching invariance of that arbitration;
  *   - a pinned fuzz reproducer replayed through the differential
  *     oracle, including a legacy field the reader must ignore.
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/domain.hpp"
@@ -36,43 +39,41 @@ TEST(ShardedEngine, CrossbarBarrierMatchesReferenceModel)
 {
     constexpr Cycle kLatency = 10;
 
-    // --- router mode: two source domains, one destination port ---
-    EventQueue unused;   // reference queue, unused in router mode
-    EventQueue dest;     // port 0's domain queue
-    EventQueue other;    // port 1's domain queue (idle)
+    // --- router mode: two source domains, ports in domains 0 and 1 ---
+    EventQueue q;
     StatRegistry reg;
-    Crossbar router("xr", 2, kLatency, unused, &reg);
-    router.setRouter({&dest, &other}, /* num_domains= */ 4);
+    Crossbar router("xr", 2, kLatency, q, &reg);
+    router.setRouter({0, 1}, /* num_domains= */ 4);
 
-    std::vector<Cycle> deliveries;
-    EventQueue src2, src3; // domains 2 and 3
-    src2.schedule(5, [&] {
-        for (int i = 0; i < 3; ++i)
-            router.send(0, [&] { deliveries.push_back(dest.now()); });
-    });
-    src3.schedule(3, [&] {
-        router.send(0, [&] { deliveries.push_back(dest.now()); });
-    });
-    src3.schedule(5, [&] {
-        router.send(0, [&] { deliveries.push_back(dest.now()); });
-    });
+    // (delivery cycle, domain the delivery ran in)
+    std::vector<std::pair<Cycle, std::int32_t>> deliveries;
+    auto deliver = [&] { deliveries.emplace_back(q.now(), tlsSimDomain); };
     {
-        ScopedSimDomain scope(2, &src2);
-        ASSERT_TRUE(src2.runUntil(9));
+        // Domain 3's cycle-5 send is queued (and runs) before domain
+        // 2's; arbitration must still put domain 2 first.
+        const ScopedSimDomain d3(3);
+        q.schedule(3, [&] { router.send(0, deliver); });
+        q.schedule(5, [&] { router.send(0, deliver); });
     }
     {
-        ScopedSimDomain scope(3, &src3);
-        ASSERT_TRUE(src3.runUntil(9));
+        const ScopedSimDomain d2(2);
+        q.schedule(5, [&] {
+            for (int i = 0; i < 3; ++i)
+                router.send(0, deliver);
+        });
     }
+    ASSERT_TRUE(q.runUntil(9)); // one epoch, then the barrier
     ASSERT_TRUE(router.hasStaged());
     router.applyStaged();
     EXPECT_FALSE(router.hasStaged());
-    ASSERT_TRUE(dest.run());
+    ASSERT_TRUE(q.run());
 
     // Canonical arbitration order: (3,d3), (5,d2)x3, (5,d3). Port 0
     // accepts one flit per cycle from its free cycle, so acceptances
-    // land at 3,5,6,7,8 and deliveries at accept + latency.
-    const std::vector<Cycle> expected = {13, 15, 16, 17, 18};
+    // land at 3,5,6,7,8 and deliveries at accept + latency, each in
+    // port 0's domain.
+    const std::vector<std::pair<Cycle, std::int32_t>> expected = {
+        {13, 0}, {15, 0}, {16, 0}, {17, 0}, {18, 0}};
     EXPECT_EQ(deliveries, expected);
     EXPECT_EQ(reg.counter("xr.flits")->value(), 5u);
     // Contention = accept - sent, summed: 0 + 0 + 1 + 2 + 3.
@@ -82,12 +83,12 @@ TEST(ShardedEngine, CrossbarBarrierMatchesReferenceModel)
     EventQueue serial_q;
     StatRegistry serial_reg;
     Crossbar immediate("xi", 2, kLatency, serial_q, &serial_reg);
-    std::vector<Cycle> serial_deliveries;
+    std::vector<std::pair<Cycle, std::int32_t>> serial_deliveries;
     auto stage = [&](Cycle at, unsigned copies) {
         serial_q.schedule(at, [&, copies] {
             for (unsigned i = 0; i < copies; ++i)
                 immediate.send(0, [&] {
-                    serial_deliveries.push_back(serial_q.now());
+                    serial_deliveries.emplace_back(serial_q.now(), 0);
                 });
         });
     };
@@ -102,33 +103,38 @@ TEST(ShardedEngine, CrossbarBarrierMatchesReferenceModel)
 // Batching across barriers must not change arbitration: applying two
 // disjoint epochs' traffic in two applyStaged() calls equals applying
 // the union (epochs are cycle-disjoint and the sort key leads with
-// the send cycle).
+// the send cycle). The latency exceeds both epochs, so every delivery
+// stays in the queue's future under either batching.
 TEST(ShardedEngine, StagedArbitrationIsBarrierBatchingInvariant)
 {
-    constexpr Cycle kLatency = 4;
+    constexpr Cycle kLatency = 8;
     auto run_with_barriers = [&](bool split) {
-        EventQueue unused, dest, src;
+        EventQueue q;
         StatRegistry reg;
-        Crossbar xbar("xb", 1, kLatency, unused, &reg);
-        xbar.setRouter({&dest}, /* num_domains= */ 1);
+        Crossbar xbar("xb", 1, kLatency, q, &reg);
+        xbar.setRouter({1}, /* num_domains= */ 2);
         std::vector<Cycle> deliveries;
-        for (Cycle at : {Cycle{0}, Cycle{1}, Cycle{5}, Cycle{6}}) {
-            src.schedule(at, [&] {
-                xbar.send(0, [&] { deliveries.push_back(dest.now()); });
-            });
-        }
         {
-            ScopedSimDomain scope(0, &src);
-            EXPECT_TRUE(src.runUntil(3));
-            if (split)
-                xbar.applyStaged(); // barrier after epoch [0,3]
-            EXPECT_TRUE(src.runUntil(7));
-            xbar.applyStaged();
+            const ScopedSimDomain src(0);
+            for (Cycle at : {Cycle{0}, Cycle{1}, Cycle{1}, Cycle{5},
+                             Cycle{6}}) {
+                q.schedule(at, [&] {
+                    xbar.send(0, [&] { deliveries.push_back(q.now()); });
+                });
+            }
         }
-        EXPECT_TRUE(dest.run());
+        EXPECT_TRUE(q.runUntil(3));
+        if (split)
+            xbar.applyStaged(); // barrier after epoch [0,3]
+        EXPECT_TRUE(q.runUntil(7));
+        xbar.applyStaged();
+        EXPECT_TRUE(q.run());
+        EXPECT_EQ(reg.counter("xb.contention_cycles")->value(), 1u);
         return deliveries;
     };
-    EXPECT_EQ(run_with_barriers(true), run_with_barriers(false));
+    const std::vector<Cycle> expected = {8, 9, 10, 13, 14};
+    EXPECT_EQ(run_with_barriers(true), expected);
+    EXPECT_EQ(run_with_barriers(false), expected);
 }
 
 // Pinned reproducer: a small machine with cross-channel

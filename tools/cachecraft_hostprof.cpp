@@ -56,7 +56,9 @@ usage()
     std::printf(
         "\n"
         "campaign mode:\n"
-        "  --campaign FILE     profile a whole campaign spec instead\n"
+        "  --campaign FILE     profile a whole campaign spec instead;\n"
+        "                      the spec sets every knob, so knob\n"
+        "                      flags are rejected next to it\n"
         "  --out DIR           campaign output tree (required with\n"
         "                      --campaign); hostprof.{json,folded,svg}\n"
         "                      land next to campaign_manifest.json\n"
@@ -128,6 +130,7 @@ main(int argc, char **argv)
     KnobTarget run = toolKnobDefaults();
     const SystemConfig &config = run.config;
     std::string campaign_path;
+    std::string knob_flag; //!< first knob flag given, if any
     std::string out_dir;
     unsigned jobs = 1;
     std::string json_path;
@@ -160,11 +163,18 @@ main(int argc, char **argv)
             counters = false;
         } else if (flag == "--quiet") {
             quiet = true;
-        } else if (!args.knob(i, run)) {
+        } else if (args.knob(i, run)) {
+            if (knob_flag.empty())
+                knob_flag = flag;
+        } else {
             usage();
             fatal("unknown flag: " + flag);
         }
     }
+
+    if (!campaign_path.empty() && !knob_flag.empty())
+        fatal(knob_flag + " cannot be combined with --campaign: the spec "
+                          "sets every knob of its points");
 
     if (const std::string error = config.geometryError(); !error.empty())
         fatal(error);

@@ -40,7 +40,9 @@ usage()
         "cachecraft_sim — GPU memory-protection simulator\n"
         "\n"
         "  --trace FILE        run a trace file (see trace_io.hpp)\n"
-        "                      instead of a built-in --workload\n"
+        "                      instead of a built-in --workload; the\n"
+        "                      kernel knobs (workload, sizing, seed)\n"
+        "                      are rejected next to it\n"
         "\n");
     printKnobHelp({"host_profile"});
     std::printf(
@@ -97,6 +99,7 @@ main(int argc, char **argv)
     const SystemConfig &config = run.config;
     const WorkloadParams &wparams = run.params;
     std::string trace_path;
+    std::string kernel_flag; //!< first kernel knob flag given, if any
     std::string dump_path;
     std::string csv_path;
     std::string report_json_path;
@@ -145,12 +148,19 @@ main(int argc, char **argv)
             want_energy = true;
         } else if (flag == "--quiet") {
             quiet = true;
-        } else if (!args.knob(i, run)) {
+        } else if (const Knob *row = args.knob(i, run)) {
+            if (setsKernel(*row) && kernel_flag.empty())
+                kernel_flag = flag;
+        } else {
             std::fprintf(stderr, "unknown flag %s (see --help)\n",
                          flag.c_str());
             return 1;
         }
     }
+
+    if (!trace_path.empty() && !kernel_flag.empty())
+        fatal(kernel_flag + " cannot be combined with --trace: the trace "
+                            "file is the kernel");
 
     if (const std::string error = config.geometryError(); !error.empty())
         fatal(error);

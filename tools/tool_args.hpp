@@ -79,15 +79,15 @@ class ToolArgs
 
     /**
      * Apply argv[i] if it is a knob flag, advancing @p i past its
-     * value. Returns false, touching nothing, when it is none; a bad
-     * value exits like any bad flag value.
+     * value, and return its table row. Returns null, touching nothing,
+     * when it is none; a bad value exits like any bad flag value.
      */
-    bool
+    const Knob *
     knob(int &i, KnobTarget &target) const
     {
         const std::string_view flag = argv_[i];
         if (!flag.starts_with("--") || flag.find('_') != flag.npos)
-            return false;
+            return nullptr;
         std::string name(flag.substr(2));
         std::replace(name.begin(), name.end(), '-', '_');
         const Knob *row = findKnob(name);
@@ -96,10 +96,10 @@ class ToolArgs
             row = findKnob(std::string_view(name).substr(3));
             on = false;
             if (row != nullptr && row->kind != Knob::Kind::kBool)
-                return false;
+                return nullptr;
         }
         if (row == nullptr)
-            return false;
+            return nullptr;
         const int at = i;
         const std::string text = row->kind == Knob::Kind::kBool
                                      ? (on ? "true" : "false")
@@ -109,7 +109,7 @@ class ToolArgs
             fail(at, row->kind == Knob::Kind::kCount
                          ? got(error, text.c_str())
                          : error);
-        return true;
+        return row;
     }
 
     /** Report that flag argv[i] is unusable (@p why) and exit. */
