@@ -12,10 +12,11 @@
  * overflow heap. Both engines execute the identical deterministic
  * schedule, so items/sec is directly comparable.
  *
- * The memory-path cases time the per-sector miss path's bookkeeping on
- * its own: MSHR allocate/merge/release with entry-owned waiters, the
- * DRAM FR-FCFS queue under a deep backlog, and sparse stored-byte
- * reads.
+ * BM_EngineCrossbarMessages times the queue's cross-domain message
+ * path alone, with crossbar-shaped traffic. The memory-path cases time
+ * the per-sector miss path's bookkeeping on its own: MSHR
+ * allocate/merge/release with entry-owned waiters, the DRAM FR-FCFS
+ * queue under a deep backlog, and sparse stored-byte reads.
  */
 
 #include <benchmark/benchmark.h>
@@ -26,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <tuple>
 #include <vector>
 
 #include "cache/mshr.hpp"
@@ -210,8 +212,8 @@ BENCHMARK_TEMPLATE(BM_EngineFanout, EventQueue)
 /**
  * GpuSystem's epoch loop over sparse domains: 24 domains on one
  * domain-stamped queue, of which 4 run busy self-rescheduling actors
- * and 20 hold only a far-heap timer plus inbox messages the busy ones
- * send them — the shape of an SM waiting on responses. Every 16-cycle
+ * and 20 hold only a far-heap timer plus messages the busy ones send
+ * them — the shape of an SM waiting on responses. Every 16-cycle
  * epoch polls nextAt() once and makes one runUntil() call, as the
  * drain loop does, then posts the epoch's staged messages to their
  * destination domains.
@@ -326,6 +328,125 @@ BM_EngineSparseDomains(benchmark::State &state)
 }
 
 BENCHMARK(BM_EngineSparseDomains)->Unit(benchmark::kMillisecond);
+
+/**
+ * Crossbar-shaped message traffic on its own: 16 SM domains keep 8
+ * requests each in flight to 8 slice domains, and every delivered
+ * request sends its response straight back — a closed loop of
+ * cross-domain messages with no other events. As in GpuSystem::run,
+ * handlers only stage their sends; each 16-cycle epoch ends in a
+ * barrier that sorts the staged sends into canonical (send cycle,
+ * source domain) order, arbitrates one flit per cycle per
+ * destination port, and posts each delivery through postMessage()
+ * 16 cycles later; one runUntil() then drains the next epoch. Items
+ * are delivered messages, so the time per item is the queue's cost
+ * per crossbar message.
+ */
+class CrossbarTraffic
+{
+  public:
+    static constexpr std::uint32_t kSms = 16;
+    static constexpr std::uint32_t kSlices = 8;
+    static constexpr std::uint32_t kInFlightPerSm = 8;
+    static constexpr Cycle kEpoch = 16;
+    static constexpr std::uint64_t kRequests = 100'000;
+
+    CrossbarTraffic() : portFreeAt_(kSms + kSlices, 0)
+    {
+        for (std::uint32_t sm = 0; sm < kSms; ++sm) {
+            for (std::uint32_t k = 0; k < kInFlightPerSm; ++k)
+                request(sm);
+        }
+    }
+
+    /** Drain epoch by epoch; returns delivered messages. */
+    std::uint64_t
+    run()
+    {
+        while (true) {
+            // Barrier: canonical order, port arbitration, delivery.
+            std::sort(staged_.begin(), staged_.end(),
+                      [](const Send &a, const Send &b) {
+                          return std::tie(a.sent, a.src, a.seq) <
+                                 std::tie(b.sent, b.src, b.seq);
+                      });
+            for (const Send &m : staged_) {
+                const Cycle accept = std::max(m.sent, portFreeAt_[m.dest]);
+                portFreeAt_[m.dest] = accept + 1;
+                queue_.postMessage(
+                    accept + kEpoch, m.sent, m.src, m.seq,
+                    static_cast<std::int32_t>(m.dest),
+                    [this, dest = m.dest, origin = m.origin] {
+                        deliver(dest, origin);
+                    });
+            }
+            staged_.clear();
+            const Cycle earliest = queue_.nextAt();
+            if (earliest == EventQueue::kNoEventCycle)
+                break;
+            queue_.runUntil((earliest / kEpoch) * kEpoch + kEpoch - 1);
+        }
+        return delivered_;
+    }
+
+  private:
+    struct Send
+    {
+        Cycle sent;
+        std::uint32_t src;
+        std::uint32_t seq;
+        std::uint32_t dest;
+        std::uint32_t origin; //!< the requesting SM
+    };
+
+    /** SM @p sm stages a request to a pseudo-random slice. */
+    void
+    request(std::uint32_t sm)
+    {
+        if (requests_ == kRequests)
+            return;
+        ++requests_;
+        const auto slice =
+            kSms + static_cast<std::uint32_t>(rng_.next() % kSlices);
+        staged_.push_back(Send{queue_.now(), sm, seq_++, slice, sm});
+    }
+
+    /** A message arrives at @p dest: a slice answers its SM, an SM
+     *  issues its next request. */
+    void
+    deliver(std::uint32_t dest, std::uint32_t origin)
+    {
+        ++delivered_;
+        if (dest < kSms) {
+            request(dest);
+        } else {
+            staged_.push_back(
+                Send{queue_.now(), dest, seq_++, origin, origin});
+        }
+    }
+
+    EventQueue queue_;
+    std::vector<Cycle> portFreeAt_;
+    std::vector<Send> staged_;
+    SplitMix64 rng_{23};
+    std::uint64_t requests_ = 0;
+    std::uint64_t delivered_ = 0;
+    std::uint32_t seq_ = 0;
+};
+
+void
+BM_EngineCrossbarMessages(benchmark::State &state)
+{
+    std::uint64_t messages = 0;
+    for (auto _ : state) {
+        CrossbarTraffic world;
+        messages += world.run();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(messages));
+    state.SetLabel("items are delivered crossbar messages");
+}
+
+BENCHMARK(BM_EngineCrossbarMessages)->Unit(benchmark::kMillisecond);
 
 /**
  * The per-sector miss path's bookkeeping: 64 lines miss (new MSHR

@@ -10,8 +10,11 @@
  * indices. Chunks never move, so a callback runs in place in its node:
  * whatever it appends while running — to another list, or to a fresh
  * list for the same key — cannot invalidate it, even when that grows
- * the slab. Each node also carries a 16-bit tag its owner may use (the
- * event queue keeps the event's engine domain there). Node indices
+ * the slab. Each node also carries a tag its owner may use (16 bits by
+ * default; the event queue keeps the event's engine domain and a
+ * message's canonical key there). A list is FIFO unless its owner
+ * links a node into its middle (insertAfter), which the event queue
+ * does to keep each wheel slot's messages sorted by key. Node indices
  * are host bookkeeping and never reach the simulation.
  */
 
@@ -27,7 +30,7 @@
 namespace cachecraft {
 
 /** Chunked slab of callback nodes linked into FIFO lists. */
-template <class Fn>
+template <class Fn, class Tag = std::uint16_t>
 class FnListSlab
 {
   public:
@@ -75,12 +78,20 @@ class FnListSlab
     pushBack(List &list, Fn &&fn)
     {
         const std::uint32_t node = acquire(std::move(fn));
-        if (list.tail == kNil)
-            list.head = node;
-        else
-            nextOf(list.tail) = node;
-        list.tail = node;
+        insertAfter(list, list.tail, node);
         return node;
+    }
+
+    /** Link unlinked @p node into @p list right after @p prev, a node
+     *  of that list, or at its head when @p prev is kNil. */
+    void
+    insertAfter(List &list, std::uint32_t prev, std::uint32_t node)
+    {
+        std::uint32_t &link = prev == kNil ? list.head : nextOf(prev);
+        nextOf(node) = link;
+        link = node;
+        if (list.tail == prev)
+            list.tail = node;
     }
 
     /** Unlink and return the head node of non-empty @p list; the
@@ -114,11 +125,18 @@ class FnListSlab
         return chunks_[node / kChunkNodes]->fn[node % kChunkNodes];
     }
 
-    /** The owner's 16-bit tag of @p node (unset until written). */
-    std::uint16_t &
+    /** The owner's tag of @p node (unset until written). */
+    Tag &
     tagOf(std::uint32_t node)
     {
         return chunks_[node / kChunkNodes]->tag[node % kChunkNodes];
+    }
+
+    /** The node after @p node in its list (kNil at the tail). */
+    std::uint32_t
+    nextNode(std::uint32_t node)
+    {
+        return nextOf(node);
     }
 
   private:
@@ -131,7 +149,7 @@ class FnListSlab
     {
         std::array<Fn, kChunkNodes> fn;
         std::array<std::uint32_t, kChunkNodes> next;
-        std::array<std::uint16_t, kChunkNodes> tag;
+        std::array<Tag, kChunkNodes> tag;
     };
 
     std::uint32_t &

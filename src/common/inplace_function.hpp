@@ -14,12 +14,19 @@
  * Deliberately minimal: move-only, no heap fallback, no target-type
  * queries. If a capture does not fit, park it in a SlabArena
  * (common/arena.hpp) and capture the 4-byte handle instead.
+ *
+ * A callback is moved several times on its way through the engine
+ * (crossbar staging, the event slab, MSHR waiter lists). Most captures
+ * are a few pointers and integers, so a trivially copyable callable
+ * has no manager: moving it copies the buffer and destroying it does
+ * nothing, with no indirect call.
  */
 
 #ifndef CACHECRAFT_COMMON_INPLACE_FUNCTION_HPP
 #define CACHECRAFT_COMMON_INPLACE_FUNCTION_HPP
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -59,21 +66,19 @@ class InplaceFunction<R(Args...), Capacity>
         invoke_ = [](void *obj, Args... args) -> R {
             return (*static_cast<D *>(obj))(std::forward<Args>(args)...);
         };
-        manage_ = [](void *dst, void *src, Op op) noexcept {
-            if (op == Op::kRelocate)
-                ::new (dst) D(std::move(*static_cast<D *>(src)));
-            static_cast<D *>(src)->~D();
-        };
+        if constexpr (!std::is_trivially_copyable_v<D>) {
+            manage_ = [](void *dst, void *src, Op op) noexcept {
+                if (op == Op::kRelocate)
+                    ::new (dst) D(std::move(*static_cast<D *>(src)));
+                static_cast<D *>(src)->~D();
+            };
+        }
     }
 
     InplaceFunction(InplaceFunction &&other) noexcept
         : invoke_(other.invoke_), manage_(other.manage_)
     {
-        if (manage_ != nullptr) {
-            manage_(storage_, other.storage_, Op::kRelocate);
-            other.invoke_ = nullptr;
-            other.manage_ = nullptr;
-        }
+        relocateFrom(other);
     }
 
     InplaceFunction &
@@ -84,11 +89,7 @@ class InplaceFunction<R(Args...), Capacity>
         reset();
         invoke_ = other.invoke_;
         manage_ = other.manage_;
-        if (manage_ != nullptr) {
-            manage_(storage_, other.storage_, Op::kRelocate);
-            other.invoke_ = nullptr;
-            other.manage_ = nullptr;
-        }
+        relocateFrom(other);
         return *this;
     }
 
@@ -115,14 +116,28 @@ class InplaceFunction<R(Args...), Capacity>
     explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
   private:
+    /** Take @p other's callable (whose invoke_/manage_ this already
+     *  copied) and leave @p other empty. */
+    void
+    relocateFrom(InplaceFunction &other) noexcept
+    {
+        if (invoke_ == nullptr)
+            return;
+        if (manage_ != nullptr)
+            manage_(storage_, other.storage_, Op::kRelocate);
+        else
+            std::memcpy(storage_, other.storage_, Capacity);
+        other.invoke_ = nullptr;
+        other.manage_ = nullptr;
+    }
+
     void
     reset() noexcept
     {
-        if (manage_ != nullptr) {
+        if (manage_ != nullptr)
             manage_(nullptr, storage_, Op::kDestroy);
-            invoke_ = nullptr;
-            manage_ = nullptr;
-        }
+        invoke_ = nullptr;
+        manage_ = nullptr;
     }
 
     alignas(std::max_align_t) unsigned char storage_[Capacity];

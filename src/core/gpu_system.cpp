@@ -25,7 +25,6 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
     // epoch-barrier schedule (see run()).
     const unsigned num_slices = config_.dram.numChannels;
     const unsigned num_domains = config_.numSms + num_slices;
-    storeStage_.resize(config_.numSms);
     // Materialize (and, in debug builds, bind) every domain's arena
     // bundle now, so forDomain() lookups during the run never grow the
     // pool.
@@ -128,15 +127,12 @@ GpuSystem::GpuSystem(const SystemConfig &config, EngineArenaPool *arenas)
                 },
                 id);
         };
-        auto l2_write = [this, s](Addr addr, ecc::MemTag tag) {
+        auto l2_write = [this](Addr addr, ecc::MemTag tag) {
             // The store's architectural value is committed at the next
-            // canonical epoch boundary, in (cycle, SM, issue-order)
-            // order — independent of how domains' events interleave
-            // within the epoch, and always before the slice can
+            // canonical epoch boundary — always before the slice can
             // observe the stored data (the write message itself
             // crosses the barrier later than the commit).
-            storeStage_[s].items.push_back(
-                StagedStore{addr, events_.now()});
+            storeStage_.push_back(addr);
             const SliceId slice = sliceOf(addr);
             reqXbar_->send(slice, [this, slice, addr, tag] {
                 slices_[slice]->write(addr, tag);
@@ -226,25 +222,16 @@ GpuSystem::onStore(Addr sector_addr)
     ++writeGeneration_.tryEmplace(sectorBase(sector_addr)).first;
 }
 
-bool
-GpuSystem::anyStagedStores() const
-{
-    return anyStaged(storeStage_);
-}
-
 void
 GpuSystem::applyStagedStores()
 {
-    // Write-generation bumps must happen in issue order — two SMs
-    // storing to the same sector in one epoch would otherwise commit
-    // in event execution order — so the barrier commits every staged
-    // store sorted by (issue cycle, source domain, lane index).
-    applyStagedInOrder(
-        storeStage_, storeOrder_,
-        [](const StagedStore &s) { return s.cycle; },
-        [this](const StagedStore &s, const StagedKey &) {
-            onStore(s.addr);
-        });
+    // A commit only bumps its sector's write generation, and bumps
+    // commute: the generations after the barrier do not depend on the
+    // order in which domains' events staged them, so the stores
+    // commit in staging order, unsorted.
+    for (const Addr addr : storeStage_)
+        onStore(addr);
+    storeStage_.clear();
 }
 
 ecc::SectorData
@@ -365,16 +352,17 @@ GpuSystem::run(const KernelTrace &trace)
     //
     // Every domain's events share events_, each stamped with its
     // domain. The queue runs to a shared epoch boundary, then the
-    // barrier performs all cross-domain work in canonical order:
-    // crossbar arbitration (by send cycle, source domain, source seq)
-    // and store commits (same key). Domains share no simulated state
-    // inside an epoch, so the interleaving of their events within it
-    // cannot change any result. The epoch length equals the crossbar
-    // latency (minimum 1), so every cross-domain delivery lands
-    // strictly inside a later epoch: a send at cycle s in the epoch
-    // covering [kE, kE+E-1] delivers at >= s+E >= (k+1)E, past that
-    // epoch's barrier at (k+1)E-1. The decomposition and this barrier
-    // schedule are the timing semantics the golden digest pins.
+    // barrier performs all cross-domain work: crossbar arbitration in
+    // canonical order (by send cycle, source domain, staging index)
+    // and store commits (order-free generation bumps). Domains share
+    // no simulated state inside an epoch, so the interleaving of their
+    // events within it cannot change any result. The epoch length
+    // equals the crossbar latency (minimum 1), so every cross-domain
+    // delivery lands strictly inside a later epoch: a send at cycle s
+    // in the epoch covering [kE, kE+E-1] delivers at >= s+E >=
+    // (k+1)E, past that epoch's barrier at (k+1)E-1. The decomposition
+    // and this barrier schedule are the timing semantics the golden
+    // digest pins.
     //
     // Store commits additionally apply only at *canonical* boundaries
     // (cycle (k+1)E-1), never at observer-inserted ones, so enabling
@@ -385,7 +373,7 @@ GpuSystem::run(const KernelTrace &trace)
         while (true) {
             const Cycle earliest = events_.nextAt();
             if (earliest == EventQueue::kNoEventCycle) {
-                if (!anyStagedStores())
+                if (storeStage_.empty())
                     break;
                 // Stores staged at an observer boundary with nothing
                 // left to observe them: commit and finish.
@@ -398,7 +386,7 @@ GpuSystem::run(const KernelTrace &trace)
             // boundary while stores are staged, and to any observer
             // boundary.
             Cycle limit = (earliest / epoch) * epoch + (epoch - 1);
-            if (anyStagedStores())
+            if (!storeStage_.empty())
                 limit = std::min(limit,
                                  (simNow_ / epoch) * epoch + (epoch - 1));
             for (Observer &o : observers) {

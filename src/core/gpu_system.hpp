@@ -22,7 +22,6 @@
 
 #include "common/addr_table.hpp"
 #include "common/arena.hpp"
-#include "common/domain.hpp"
 #include "core/config.hpp"
 #include "dram/storage.hpp"
 #include "faults/fault_index.hpp"
@@ -260,14 +259,6 @@ class GpuSystem
     }
 
   private:
-    /** One store commit staged by an SM domain for the next canonical
-     *  epoch boundary (see run()'s determinism comment). */
-    struct StagedStore
-    {
-        Addr addr;
-        Cycle cycle;
-    };
-
     /** Record a store's new architectural value (bump its write
      *  generation). */
     void onStore(Addr sector_addr);
@@ -283,10 +274,7 @@ class GpuSystem
         return static_cast<std::int32_t>(config_.numSms + c);
     }
 
-    /** True if any SM domain has uncommitted staged stores. */
-    bool anyStagedStores() const;
-
-    /** Barrier-only: commit staged stores in canonical order. */
+    /** Canonical-barrier-only: commit the staged stores. */
     void applyStagedStores();
 
     SystemConfig config_;
@@ -309,8 +297,9 @@ class GpuSystem
     FaultIndex faultIndex_;
     /** Sector -> stores committed to it; absent = generation 0. */
     AddrTable<std::uint64_t> writeGeneration_;
-    std::vector<StagedLane<StagedStore>> storeStage_; //!< per SM domain
-    std::vector<StagedKey> storeOrder_; //!< applyStagedStores scratch
+    /** Sectors stored since the last canonical boundary, whose
+     *  commits (generation bumps) wait for it; see run(). */
+    std::vector<Addr> storeStage_;
     bool initialized_ = false;
     bool ran_ = false;
     /** Barrier clock for occupancy gauges and observer boundaries. */

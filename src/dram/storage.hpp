@@ -57,6 +57,10 @@ class SparseMemory
     /** Page base -> page; pages are heap-held so the flat index stays
      *  small and rehashing never copies page bytes. */
     AddrTable<std::unique_ptr<Page>> pages_;
+    /** @{ The page pageForWrite() returned last (base ~0: none). */
+    Addr lastWriteBase_ = ~Addr{0};
+    Page *lastWritePage_ = nullptr;
+    /** @} */
 };
 
 } // namespace cachecraft

@@ -28,8 +28,15 @@ struct SectorRequest
 
 /**
  * Coalesce a warp instruction's active lanes into unique sector
- * requests, in first-appearance order (deterministic).
+ * requests, in first-appearance order (deterministic), replacing the
+ * contents of @p out. Reusing @p out across calls makes coalescing
+ * allocation-free once it has grown to a warp's worth of sectors.
+ * Any lane count works; up to kWarpLanes lanes dedupe through a small
+ * open-addressed set on the stack.
  */
+void coalesceInto(const WarpInst &inst, std::vector<SectorRequest> &out);
+
+/** coalesceInto() into a fresh vector. */
 std::vector<SectorRequest> coalesce(const WarpInst &inst);
 
 } // namespace cachecraft

@@ -28,12 +28,12 @@ Crossbar::setRouter(std::vector<std::int32_t> port_domains,
     if (port_domains.size() != portFreeAt_.size())
         panic("crossbar router needs one destination domain per port");
     portDomains_ = std::move(port_domains);
-    staged_.resize(num_domains);
+    numDomains_ = num_domains;
 }
 
 void
 Crossbar::arbitrate(unsigned port, Cycle sent, std::uint64_t trace_id,
-                    bool response, SmallFn fn, std::uint32_t src,
+                    bool response, SmallFn &&fn, std::uint32_t src,
                     std::uint32_t seq)
 {
     statFlits.inc();
@@ -71,27 +71,38 @@ Crossbar::send(unsigned port, SmallFn fn, std::uint64_t trace_id,
                   0, 0);
         return;
     }
-    // Router mode: stage under the sending domain; the barrier merges
+    // Router mode: stage with the sending domain; the barrier merges
     // canonically.
     if (tlsSimDomain < 0 ||
-        static_cast<std::size_t>(tlsSimDomain) >= staged_.size())
+        static_cast<unsigned>(tlsSimDomain) >= numDomains_)
         panic("router-mode crossbar send outside an engine domain");
-    staged_[static_cast<std::size_t>(tlsSimDomain)].items.push_back(
-        Staged{std::move(fn), events_.now(), trace_id, port, response});
+    staged_.emplace_back(std::move(fn), events_.now(), trace_id, port,
+                         static_cast<std::uint32_t>(tlsSimDomain), response);
 }
 
 void
 Crossbar::applyStaged()
 {
-    // Canonical merge: (send cycle, source domain, source seq). Within
-    // one lane entries are already in send order, so the sort key is a
-    // total order over all staged messages.
-    applyStagedInOrder(
-        staged_, order_, [](const Staged &m) { return m.sent; },
-        [this](Staged &m, const StagedKey &r) {
-            arbitrate(m.port, m.sent, m.traceId, m.response,
-                      std::move(m.fn), r.domain, r.index);
-        });
+    // Canonical merge: (send cycle, source domain, staging index).
+    // staged_ is in execution order, i.e. send-cycle order, so only
+    // same-cycle messages of different domains are out of place and an
+    // insertion sort costs O(n + inversions), allocating nothing.
+    order_.clear();
+    for (std::uint32_t i = 0; i < staged_.size(); ++i)
+        order_.push_back(StagedKey{staged_[i].sent, staged_[i].domain, i});
+    for (std::size_t i = 1; i < order_.size(); ++i) {
+        const StagedKey key = order_[i];
+        std::size_t j = i;
+        for (; j > 0 && key < order_[j - 1]; --j)
+            order_[j] = order_[j - 1];
+        order_[j] = key;
+    }
+    for (const StagedKey &k : order_) {
+        Staged &m = staged_[k.index];
+        arbitrate(m.port, m.sent, m.traceId, m.response, std::move(m.fn),
+                  k.domain, k.index);
+    }
+    staged_.clear();
 }
 
 Cycle

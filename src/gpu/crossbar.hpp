@@ -14,25 +14,25 @@
  *
  *   Router (setRouter()): the crossbar is the only cross-domain edge
  *   of the domain/epoch engine. send() — called from the *sending*
- *   domain's event execution — only stages the message in a
- *   per-source-domain buffer. At every epoch barrier GpuSystem::run
- *   calls applyStaged(), which arbitrates all staged messages in
- *   canonical (send cycle, source domain, source seq) order and posts
- *   each, stamped with its destination port's domain, via
- *   EventQueue::postMessage. The canonical order makes port
- *   arbitration, contention stats, and delivery times independent of
- *   the order in which domains' events ran within the epoch; the
- *   epoch length (<= crossbar latency) guarantees every delivery
- *   lands strictly in the queue's future.
+ *   domain's event execution — only appends the message, with its
+ *   source domain, to one staging vector. At every epoch barrier
+ *   GpuSystem::run calls applyStaged(), which arbitrates all staged
+ *   messages in canonical (send cycle, source domain, staging index)
+ *   order and posts each, stamped with its destination port's domain,
+ *   via EventQueue::postMessage, in that same (key) order. The
+ *   canonical order makes port arbitration, contention stats, and
+ *   delivery times independent of the order in which domains' events
+ *   ran within the epoch; the epoch length (<= crossbar latency)
+ *   guarantees every delivery lands strictly in the queue's future.
  */
 
 #ifndef CACHECRAFT_GPU_CROSSBAR_HPP
 #define CACHECRAFT_GPU_CROSSBAR_HPP
 
+#include <compare>
 #include <string>
 #include <vector>
 
-#include "common/domain.hpp"
 #include "common/inplace_function.hpp"
 #include "common/types.hpp"
 #include "gpu/event_queue.hpp"
@@ -85,7 +85,7 @@ class Crossbar
     void applyStaged();
 
     /** Router mode: any messages staged since the last applyStaged(). */
-    bool hasStaged() const { return anyStaged(staged_); }
+    bool hasStaged() const { return !staged_.empty(); }
 
     /**
      * Deepest per-port backlog at cycle @p now, in flits (how far the
@@ -97,21 +97,34 @@ class Crossbar
     Counter statContentionCycles;
 
   private:
-    /** One staged router-mode message (per-source-domain lanes). */
+    /** One staged router-mode message. */
     struct Staged
     {
         SmallFn fn;
         Cycle sent;
         std::uint64_t traceId;
         std::uint32_t port;
+        std::uint32_t domain; //!< the sending domain
         bool response;
+    };
+
+    /** Canonical merge key of staged_[index]: (send cycle, source
+     *  domain, staging index). Within one domain the staging index
+     *  follows send order, so the key is a total order. */
+    struct StagedKey
+    {
+        Cycle sent;
+        std::uint32_t domain;
+        std::uint32_t index;
+
+        auto operator<=>(const StagedKey &) const = default;
     };
 
     /** Arbitrate one message sent at @p sent for @p port and deliver
      *  @p fn (immediate mode: schedule; router mode: post to the
      *  port's domain). */
     void arbitrate(unsigned port, Cycle sent, std::uint64_t trace_id,
-                   bool response, SmallFn fn, std::uint32_t src,
+                   bool response, SmallFn &&fn, std::uint32_t src,
                    std::uint32_t seq);
 
     std::string name_;
@@ -119,8 +132,9 @@ class Crossbar
     EventQueue &events_;
     telemetry::Telemetry *telemetry_;
     std::vector<Cycle> portFreeAt_;
-    std::vector<std::int32_t> portDomains_;  //!< empty = immediate mode
-    std::vector<StagedLane<Staged>> staged_; //!< per source domain
+    std::vector<std::int32_t> portDomains_; //!< empty = immediate mode
+    unsigned numDomains_ = 0; //!< source domains that may send
+    std::vector<Staged> staged_; //!< in send (execution) order
     std::vector<StagedKey> order_; //!< applyStaged scratch, reused
 };
 

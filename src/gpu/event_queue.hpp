@@ -15,11 +15,12 @@
  * arrays). Slab nodes never move, so an event runs in place in its
  * node, which is then freed — re-entrant scheduling at now() appends
  * behind it in the same drain, even when that grows the slab. Events
- * beyond the horizon go to a small overflow heap keyed on (cycle, seq)
- * and migrate into their bucket as the clock approaches; migration
- * runs on every clock advance, i.e. before any event at the new
- * horizon edge could be scheduled directly, so bucket order always
- * equals global schedule order. Callbacks are fixed-capacity SmallFn values, so steady-state
+ * beyond the horizon wait, already in their slab node, in one
+ * overflow heap of (cycle, seq, node) keys and migrate into their
+ * bucket as the clock approaches; migration runs on every clock
+ * advance, i.e. before any event at the new horizon edge could be
+ * scheduled directly, so bucket order always equals global schedule
+ * order. Callbacks are fixed-capacity SmallFn values, so steady-state
  * scheduling performs no heap allocation at all.
  *
  * The next pending cycle is found in O(1): an occupancy bitmap has one
@@ -28,23 +29,27 @@
  * words after now's, else wrapped to the start of the wheel) and one
  * on the chosen word.
  *
- * Every event carries the engine domain that owns it (a 16-bit stamp
- * beside its slab node's next link; see common/domain.hpp).
- * schedule() stamps the domain currently executing (tlsSimDomain), so
- * an event's follow-ups inherit its domain, and runUntil() sets
- * tlsSimDomain to each event's stamp while it runs. Events scheduled
- * outside any domain run under kDomainNone.
+ * Every event carries the engine domain that owns it (in its slab
+ * node's tag; see common/domain.hpp). schedule() stamps the domain
+ * currently executing (tlsSimDomain), so an event's follow-ups
+ * inherit its domain, and runUntil() sets tlsSimDomain to each
+ * event's stamp while it runs. Events scheduled outside any domain
+ * run under kDomainNone.
  *
  * The domain/epoch engine adds a second ingress: postMessage()
  * delivers a cross-domain message (a crossbar hop) to a named domain
- * through a small inbox heap of canonical
- * (delivery cycle, send cycle, source domain, source seq) keys; each
- * key names a slab node holding the message's callback, so heap moves
- * shuffle 32-byte keys, never callbacks.
- * Messages for cycle D execute *before* D's wheel bucket, in key
- * order — a total order independent of the order in which the
- * barrier posted them. Only the epoch barrier posts, between
- * runUntil() calls; deliveries must be strictly in the future.
+ * at a delivery cycle D. Messages for cycle D execute *before* D's
+ * event bucket, in canonical (send cycle, source domain, source seq)
+ * key order — a total order independent of the order in which the
+ * barrier posted them. Each wheel slot therefore holds a second list,
+ * of messages, kept sorted by that key (stored in the node's tag) and
+ * sharing the slot's occupancy bit. The barrier posts in key order,
+ * so an insert compares only against the tail and appends in O(1); a
+ * post out of key order walks from the head to its place. Messages
+ * beyond the horizon wait in the same overflow heap as far events and
+ * are inserted by key when they migrate. Only the epoch barrier
+ * posts, between runUntil() calls; deliveries must be strictly in the
+ * future.
  */
 
 #ifndef CACHECRAFT_GPU_EVENT_QUEUE_HPP
@@ -77,26 +82,23 @@ class EventQueue
 
     /** Schedule @p fn to run at absolute cycle @p when (>= now). */
     void
-    schedule(Cycle when, EventFn fn)
+    schedule(Cycle when, EventFn &&fn)
     {
         if (when < now_)
             panic("event scheduled in the past");
-        const auto domain = static_cast<std::uint16_t>(tlsSimDomain);
-        if (when - now_ < kWheelSlots) {
-            append(when & kWheelMask, domain, std::move(fn));
-        } else {
-            far_.push_back(FarEvent{when, seq_, domain, std::move(fn)});
-            std::push_heap(far_.begin(), far_.end(), FarAfter{});
-        }
-        ++seq_;
-        ++pending_;
-        if (pending_ > peakDepth_)
-            peakDepth_ = pending_;
+        const std::uint32_t node = slab_.acquire(std::move(fn));
+        slab_.tagOf(node).domain =
+            static_cast<std::uint16_t>(tlsSimDomain);
+        if (when - now_ < kWheelSlots)
+            linkEvent(when & kWheelMask, node);
+        else
+            pushFar(when, node, /* message= */ false);
+        countPending();
     }
 
     /** Schedule @p fn @p delta cycles from now. */
     void
-    scheduleAfter(Cycle delta, EventFn fn)
+    scheduleAfter(Cycle delta, EventFn &&fn)
     {
         schedule(now_ + delta, std::move(fn));
     }
@@ -105,24 +107,24 @@ class EventQueue
      * Deliver a cross-domain message: run @p fn in domain @p dest at
      * cycle @p when (strictly after now()), ordered against other
      * messages by the canonical (when, sent, src, seq) key and before
-     * any wheel-bucket event of cycle @p when. Barrier-only; see file
-     * comment.
+     * any wheel-bucket event of cycle @p when. Barrier-only; posting
+     * in key order costs O(1) (see file comment).
      */
     void
     postMessage(Cycle when, Cycle sent, std::uint32_t src,
-                std::uint32_t seq, std::int32_t dest, EventFn fn)
+                std::uint32_t seq, std::int32_t dest, EventFn &&fn)
     {
         if (when <= now_)
             panic("cross-domain message posted at or before the "
                   "queue's clock");
         const std::uint32_t node = slab_.acquire(std::move(fn));
-        slab_.tagOf(node) = static_cast<std::uint16_t>(dest);
-        inbox_.push_back(InboxKey{when, sent, src, seq, node});
-        std::push_heap(inbox_.begin(), inbox_.end(), InboxAfter{});
-        ++seq_;
-        ++pending_;
-        if (pending_ > peakDepth_)
-            peakDepth_ = pending_;
+        slab_.tagOf(node) =
+            NodeTag{sent, src, seq, static_cast<std::uint16_t>(dest)};
+        if (when - now_ < kWheelSlots)
+            linkMessage(when & kWheelMask, node);
+        else
+            pushFar(when, node, /* message= */ true);
+        countPending();
     }
 
     /** True if no events are pending. */
@@ -164,35 +166,12 @@ class EventQueue
         const ScopedSimDomain caller(tlsSimDomain);
         std::uint64_t budget = max_events;
         while (true) {
-            // Inbox messages for this cycle run before its bucket, in
-            // canonical key order (the heap pops them sorted).
-            while (!inbox_.empty() && inbox_.front().when == now_) {
-                if (budget == 0) {
-                    ++valveTrips_;
-                    return false;
-                }
-                --budget;
-                std::pop_heap(inbox_.begin(), inbox_.end(), InboxAfter{});
-                const std::uint32_t node = inbox_.back().node;
-                inbox_.pop_back();
-                runNode(node);
-            }
-            // Unlink each event before running it in place, so
-            // re-entrant scheduling at now() appends behind it in this
-            // same drain and a valve trip leaves the rest linked.
+            // The slot's messages run before its events, in canonical
+            // key order (the list is kept sorted).
             const std::size_t slot = now_ & kWheelMask;
-            Bucket &bucket = wheel_[slot];
-            while (!bucket.empty()) {
-                if (budget == 0) {
-                    ++valveTrips_;
-                    return false;
-                }
-                --budget;
-                const std::uint32_t node = slab_.popFront(bucket);
-                if (bucket.empty())
-                    markEmpty(slot);
-                runNode(node);
-            }
+            if (!drainList(wheel_[slot].messages, slot, budget) ||
+                !drainList(wheel_[slot].events, slot, budget))
+                return false;
             const Cycle next = nextEventCycle();
             if (next == kNoEvent)
                 return true; // drained; clock stays on the last event
@@ -233,7 +212,7 @@ class EventQueue
     static constexpr Cycle kNoEventCycle = ~Cycle{0};
 
     /**
-     * Earliest pending cycle (wheel, far heap, or inbox), or
+     * Earliest pending cycle (wheel or far heap), or
      * kNoEventCycle when drained. The epoch loop polls this once per
      * epoch to skip idle epochs wholesale.
      */
@@ -255,52 +234,58 @@ class EventQueue
     static_assert(kBitmapWords == 64,
                   "one summary word covers the whole bitmap");
 
-    /** An event beyond the wheel horizon; seq orders same-cycle ties
-     *  against other far events (near events order by bucket FIFO). */
-    struct FarEvent
+    /** Per-node tag: the owning domain and, for a message, its
+     *  canonical (sent, src, seq) key. */
+    struct NodeTag
+    {
+        Cycle sent = 0;
+        std::uint32_t src = 0;
+        std::uint32_t seq = 0;
+        std::uint16_t domain = 0;
+    };
+
+    using Slab = FnListSlab<EventFn, NodeTag>;
+    using List = Slab::List;
+
+    /** One wheel slot: its cycle's messages (sorted by key), then its
+     *  events (FIFO). */
+    struct Slot
+    {
+        List messages;
+        List events;
+    };
+
+    /** True if message tag @p a runs before message tag @p b. */
+    static bool
+    keyBefore(const NodeTag &a, const NodeTag &b)
+    {
+        if (a.sent != b.sent)
+            return a.sent < b.sent;
+        if (a.src != b.src)
+            return a.src < b.src;
+        return a.seq < b.seq;
+    }
+
+    /** An event or message beyond the wheel horizon, waiting in slab
+     *  node @p node; seq (the global schedule/post count) orders
+     *  same-cycle ties, so far events migrate in schedule order. */
+    struct FarKey
     {
         Cycle when;
         std::uint64_t seq;
-        std::uint16_t domain;
-        EventFn fn;
+        std::uint32_t node;
+        bool message;
     };
 
-    /** Heap comparator: true when @p a fires after @p b, so the heap
-     *  front is the earliest (cycle, seq) pair. */
+    /** Heap comparator: true when @p a migrates after @p b, so the
+     *  heap front is the earliest (cycle, seq) pair. */
     struct FarAfter
     {
         bool
-        operator()(const FarEvent &a, const FarEvent &b) const
+        operator()(const FarKey &a, const FarKey &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    /** A cross-domain message awaiting delivery (see postMessage);
-     *  its callback waits in slab node @p node. */
-    struct InboxKey
-    {
-        Cycle when;
-        Cycle sent;
-        std::uint32_t src;
-        std::uint32_t seq;
-        std::uint32_t node;
-    };
-
-    /** Heap comparator: front is the least (when, sent, src, seq). */
-    struct InboxAfter
-    {
-        bool
-        operator()(const InboxKey &a, const InboxKey &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.sent != b.sent)
-                return a.sent > b.sent;
-            if (a.src != b.src)
-                return a.src > b.src;
             return a.seq > b.seq;
         }
     };
@@ -312,8 +297,6 @@ class EventQueue
         Cycle next = summary_ != 0 ? now_ + wheelDistance() : kNoEvent;
         if (!far_.empty() && far_.front().when < next)
             next = far_.front().when;
-        if (!inbox_.empty() && inbox_.front().when < next)
-            next = inbox_.front().when;
         return next;
     }
 
@@ -340,54 +323,120 @@ class EventQueue
         return (slot - start) & kWheelMask;
     }
 
-    /** Pull far events that entered the wheel horizon into their
-     *  buckets, in (cycle, seq) order. */
+    /** Count one newly pending event or message. */
+    void
+    countPending()
+    {
+        ++seq_;
+        ++pending_;
+        if (pending_ > peakDepth_)
+            peakDepth_ = pending_;
+    }
+
+    /** Park slab node @p node, due at @p when, in the overflow heap. */
+    void
+    pushFar(Cycle when, std::uint32_t node, bool message)
+    {
+        far_.push_back(FarKey{when, seq_, node, message});
+        std::push_heap(far_.begin(), far_.end(), FarAfter{});
+    }
+
+    /** Pull far events and messages that entered the wheel horizon
+     *  into their slots, in (cycle, seq) order. */
     void
     migrateFar()
     {
         while (!far_.empty() && far_.front().when - now_ < kWheelSlots) {
             std::pop_heap(far_.begin(), far_.end(), FarAfter{});
-            append(far_.back().when & kWheelMask, far_.back().domain,
-                   std::move(far_.back().fn));
+            const FarKey far = far_.back();
             far_.pop_back();
+            if (far.message)
+                linkMessage(far.when & kWheelMask, far.node);
+            else
+                linkEvent(far.when & kWheelMask, far.node);
         }
     }
 
-    /** Run unlinked @p node in place under its domain, then free it
-     *  (kDomainNone round-trips through the stamp as 0xFFFF). */
-    void
-    runNode(std::uint32_t node)
+    /**
+     * Run @p list (one of @p slot's) to empty, each node in place
+     * under its domain (kDomainNone round-trips through the stamp as
+     * 0xFFFF) and then freed. Each node is unlinked before it runs, so
+     * re-entrant scheduling at now() appends behind it in this same
+     * drain and a valve trip leaves the rest linked.
+     * @return false if the valve tripped.
+     */
+    bool
+    drainList(List &list, std::size_t slot, std::uint64_t &budget)
     {
-        ++executed_;
-        --pending_;
-        tlsSimDomain = static_cast<std::int16_t>(slab_.tagOf(node));
-        slab_.fnOf(node)();
-        slab_.release(node);
+        while (!list.empty()) {
+            if (budget == 0) {
+                ++valveTrips_;
+                return false;
+            }
+            --budget;
+            const std::uint32_t node = slab_.popFront(list);
+            if (list.empty())
+                markEmptyIfIdle(slot);
+            ++executed_;
+            --pending_;
+            tlsSimDomain =
+                static_cast<std::int16_t>(slab_.tagOf(node).domain);
+            slab_.fnOf(node)();
+            slab_.release(node);
+        }
+        return true;
     }
 
-    /** Link @p fn, owned by @p domain, at the tail of @p slot's
-     *  bucket. */
+    /** Link event @p node at the tail of @p slot's event bucket. */
     void
-    append(std::size_t slot, std::uint16_t domain, EventFn &&fn)
+    linkEvent(std::size_t slot, std::uint32_t node)
     {
-        slab_.tagOf(slab_.pushBack(wheel_[slot], std::move(fn))) = domain;
+        List &events = wheel_[slot].events;
+        slab_.insertAfter(events, events.tail, node);
+        markOccupied(slot);
+    }
+
+    /** Link message @p node into @p slot's message list at its key's
+     *  place: after the tail when the key is the largest (the
+     *  barrier's canonical posting order), else after the last
+     *  smaller key, found by walking from the head. */
+    void
+    linkMessage(std::size_t slot, std::uint32_t node)
+    {
+        List &messages = wheel_[slot].messages;
+        const NodeTag &key = slab_.tagOf(node);
+        std::uint32_t prev = messages.tail;
+        if (prev != Slab::kNil && keyBefore(key, slab_.tagOf(prev))) {
+            prev = Slab::kNil;
+            for (std::uint32_t at = messages.head;
+                 !keyBefore(key, slab_.tagOf(at)); at = slab_.nextNode(at))
+                prev = at;
+        }
+        slab_.insertAfter(messages, prev, node);
+        markOccupied(slot);
+    }
+
+    /** Set @p slot's occupancy bit. */
+    void
+    markOccupied(std::size_t slot)
+    {
         const std::size_t word = slot >> 6;
         occupied_[word] |= std::uint64_t{1} << (slot & 63);
         summary_ |= std::uint64_t{1} << word;
     }
 
-    /** Clear @p slot's occupancy bit (its bucket just emptied). */
+    /** Clear @p slot's occupancy bit if both of its lists are empty
+     *  (one of them just emptied). */
     void
-    markEmpty(std::size_t slot)
+    markEmptyIfIdle(std::size_t slot)
     {
+        if (!wheel_[slot].messages.empty() || !wheel_[slot].events.empty())
+            return;
         const std::size_t word = slot >> 6;
         occupied_[word] &= ~(std::uint64_t{1} << (slot & 63));
         if (occupied_[word] == 0)
             summary_ &= ~(std::uint64_t{1} << word);
     }
-
-    /** One wheel slot: a FIFO list of slab nodes. */
-    using Bucket = FnListSlab<EventFn>::List;
 
     Cycle now_ = 0;
     std::uint64_t seq_ = 0;
@@ -395,12 +444,11 @@ class EventQueue
     std::uint64_t pending_ = 0;
     std::uint64_t peakDepth_ = 0;
     std::uint64_t valveTrips_ = 0;
-    std::array<Bucket, kWheelSlots> wheel_;
+    std::array<Slot, kWheelSlots> wheel_;
     std::array<std::uint64_t, kBitmapWords> occupied_{};
     std::uint64_t summary_ = 0; //!< bit w: occupied_[w] != 0
-    FnListSlab<EventFn> slab_; //!< wheel buckets + inbox callbacks
-    std::vector<FarEvent> far_;
-    std::vector<InboxKey> inbox_; //!< min-heap, see InboxAfter
+    Slab slab_; //!< every pending event's and message's callback
+    std::vector<FarKey> far_; //!< min-heap, see FarAfter
 };
 
 } // namespace cachecraft

@@ -112,7 +112,13 @@ SmCore::startMemory(std::size_t w)
     const WarpInst &inst = (*warp.insts)[warp.pc];
     const bool active = telemetry_ && telemetry_->active();
     const std::uint64_t inst_id = active ? telemetry_->newId() : 0;
-    const auto sectors = coalesce(inst);
+    // sectors_ is reused across instructions; nothing below calls back
+    // into startMemory (every completion is a scheduled event), which
+    // the guard checks.
+    if (sectorsLive_)
+        panic("SmCore::startMemory re-entered while coalescing");
+    coalesceInto(inst, sectors_);
+    const std::vector<SectorRequest> &sectors = sectors_;
     if (telemetry_ && !sectors.empty()) {
         if (auto *fr = telemetry_->recorder())
             fr->record(telemetry::RecordKind::kCoalesce, inst_id,
@@ -132,6 +138,7 @@ SmCore::startMemory(std::size_t w)
     warp.pendingSectors = static_cast<unsigned>(sectors.size());
     warp.memIssuedAt = events_.now();
     statSectorsAccessed.inc(sectors.size());
+    sectorsLive_ = true;
     for (const SectorRequest &req : sectors) {
         // Each coalesced sector gets its own lifecycle id; the flight
         // record ties it back to the warp instruction (low id bits).
@@ -146,6 +153,7 @@ SmCore::startMemory(std::size_t w)
         }
         issueSector(w, req, tag, sid);
     }
+    sectorsLive_ = false;
 }
 
 void

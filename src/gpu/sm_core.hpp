@@ -164,6 +164,10 @@ class SmCore
     std::deque<BlockedSector> blocked_;
 
     std::vector<WarpState> warps_;
+    /** startMemory's coalescer output, reused across instructions. */
+    std::vector<SectorRequest> sectors_;
+    /** True while startMemory iterates sectors_. */
+    bool sectorsLive_ = false;
     std::deque<std::size_t> readyQueue_;
     std::size_t warpsDone_ = 0;
     Cycle nextIssueAt_ = 0;

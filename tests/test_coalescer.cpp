@@ -87,5 +87,24 @@ TEST(Coalescer, PartialWarp)
     ASSERT_EQ(sectors.size(), 1u);
 }
 
+TEST(Coalescer, MoreLanesThanAWarpStillDedupeInOrder)
+{
+    // Hand-written and fuzzed traces do not bound the lane count. 48
+    // lanes: 40 distinct sectors in descending order, then repeats of
+    // the first eight.
+    std::vector<Addr> lanes;
+    for (Addr i = 0; i < 40; ++i)
+        lanes.push_back((40 - i) * 0x1000 + 4);
+    for (Addr i = 0; i < 8; ++i)
+        lanes.push_back((40 - i) * 0x1000 + 8);
+    std::vector<SectorRequest> sectors = {SectorRequest{0x42, true}};
+    coalesceInto(memInst(lanes, true), sectors); // replaces, not appends
+    ASSERT_EQ(sectors.size(), 40u);
+    for (std::size_t i = 0; i < sectors.size(); ++i) {
+        EXPECT_EQ(sectors[i].sectorAddr, (40 - i) * 0x1000);
+        EXPECT_TRUE(sectors[i].isWrite);
+    }
+}
+
 } // namespace
 } // namespace cachecraft

@@ -2,7 +2,8 @@
  * @file
  * Tests for the discrete-event engine: ordering, deterministic
  * tie-breaking, re-entrant scheduling, the livelock valve, the
- * wheel/overflow-heap horizon, per-event domain stamps, and
+ * wheel/overflow-heap horizon, per-event domain stamps, the sorted
+ * per-slot message lists, and
  * equivalence with a brute-force reference model under randomized
  * schedules.
  */
@@ -221,7 +222,8 @@ TEST(EventQueue, RunUntilLimitJumpMigratesFarEvents)
 TEST(EventQueue, NextAtSeesFarHeapAndInboxWithEmptyWheel)
 {
     // A domain waiting on responses holds work only in the far heap
-    // or the inbox; its wheel bitmap is empty.
+    // or in messages posted to it; here the wheel holds only one
+    // message.
     EventQueue q;
     EXPECT_EQ(q.nextAt(), EventQueue::kNoEventCycle);
     std::vector<int> order;
@@ -381,6 +383,56 @@ TEST(EventQueue, MessageRunsInItsDestinationDomainBeforeTheBucket)
     const std::vector<std::pair<int, std::int32_t>> expected = {
         {0, 5}, {1, 2}, {2, 5}};
     EXPECT_EQ(seen, expected);
+}
+
+TEST(EventQueue, SameCycleMessagesPostedOutOfKeyOrderRunInKeyOrder)
+{
+    // The wheel slot's message list keeps (sent, src, seq) order even
+    // when the poster does not: a tail append for the largest key, a
+    // walk from the head otherwise.
+    EventQueue q;
+    std::vector<int> order;
+    q.postMessage(40, 5, 2, 0, 0, [&] { order.push_back(3); });
+    q.postMessage(40, 5, 1, 7, 0, [&] { order.push_back(2); });
+    q.postMessage(40, 3, 9, 0, 0, [&] { order.push_back(0); });
+    q.postMessage(40, 5, 1, 6, 0, [&] { order.push_back(1); });
+    q.postMessage(40, 6, 0, 0, 0, [&] { order.push_back(4); });
+    EXPECT_TRUE(q.run());
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, FarMessageFromAnEarlierBarrierPrecedesALaterNearOne)
+{
+    // Posted 5000 cycles ahead, the first message waits in the far
+    // heap; the second, for the same cycle, is posted after the clock
+    // moved in range and goes straight to the wheel. Key order, not
+    // the structure a message waited in, decides.
+    EventQueue q;
+    std::vector<int> order;
+    q.postMessage(5000, 0, 7, 0, 1, [&] { order.push_back(0); });
+    EXPECT_TRUE(q.runUntil(2000)); // migrates the far message
+    q.postMessage(5000, 2000, 0, 0, 1, [&] { order.push_back(1); });
+    // A smaller key posted later still walks in ahead of both.
+    q.postMessage(5000, 0, 3, 0, 1, [&] { order.push_back(-1); });
+    EXPECT_TRUE(q.run());
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1}));
+}
+
+TEST(EventQueue, MigratedMessagesRunBeforeTheirCyclesEvents)
+{
+    // Both a far event and a far message for cycle 6000 migrate when
+    // the clock passes 1904; events scheduled directly for 6000 after
+    // that join the bucket behind the migrated event. Every message
+    // of the cycle runs first.
+    EventQueue q;
+    std::vector<int> order;
+    q.schedule(6000, [&] { order.push_back(1); }); // far event
+    q.postMessage(6000, 0, 0, 0, 2, [&] { order.push_back(0); });
+    EXPECT_TRUE(q.runUntil(3000));
+    EXPECT_EQ(q.nextAt(), 6000u);
+    q.schedule(6000, [&] { order.push_back(2); }); // near event
+    EXPECT_TRUE(q.run());
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EventQueue, EventsScheduledOutsideAnyDomainRunUnderNone)

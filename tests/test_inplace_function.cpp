@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for InplaceFunction: invocation, move semantics, capture
- * lifetime (destructors run exactly once), the capacity boundary
+ * Tests for InplaceFunction: invocation, move semantics (managed and
+ * trivially copyable captures), capture lifetime (destructors run
+ * exactly once), the capacity boundary
  * (exercised under ASan in the sanitizer CI job), and the SFINAE
  * rejection of callables that cannot live in the inline buffer.
  */
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <type_traits>
 
@@ -50,6 +52,26 @@ TEST(InplaceFunction, MoveTransfersTargetAndEmptiesSource)
     EXPECT_FALSE(static_cast<bool>(b));
     c();
     EXPECT_EQ(calls, 2);
+}
+
+TEST(InplaceFunction, TriviallyCopyableCaptureSurvivesMoves)
+{
+    // A capture of plain values has no manager: moves copy the
+    // buffer. Its exact values must arrive, through construction,
+    // assignment and a chain of moves.
+    std::uint64_t seen = 0;
+    const std::uint64_t a = 0x0123456789ABCDEFull;
+    const std::uint32_t b = 0xCAFEF00Du;
+    auto closure = [a, b, out = &seen] { *out = a ^ b; };
+    static_assert(std::is_trivially_copyable_v<decltype(closure)>);
+    SmallFn first = closure;
+    SmallFn second = std::move(first);
+    SmallFn third;
+    third = std::move(second);
+    EXPECT_FALSE(static_cast<bool>(first));
+    EXPECT_FALSE(static_cast<bool>(second));
+    third();
+    EXPECT_EQ(seen, a ^ b);
 }
 
 TEST(InplaceFunction, MoveOnlyCapturesWork)

@@ -3,7 +3,8 @@
  * Randomized property tests pitting optimized model components against
  * deliberately naive brute-force references:
  *
- *  - the SIMT coalescer vs. a per-lane first-appearance scan;
+ *  - the SIMT coalescer (fresh and reused-scratch forms) vs. a
+ *    per-lane first-appearance scan;
  *  - LRU / FIFO / SRRIP replacement vs. linear-scan reference models.
  *
  * Each property runs over >= 1000 seeded random sequences, so any
@@ -57,6 +58,9 @@ expectSameRequests(const std::vector<SectorRequest> &got,
 
 TEST(CoalescerProperty, MatchesNaiveReferenceOverRandomWarps)
 {
+    // coalesceInto reuses one scratch across every warp, as SmCore
+    // does, so a stale entry or set slot would show up here.
+    std::vector<SectorRequest> scratch;
     for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
         Xoshiro256 rng(seed);
         WarpInst inst;
@@ -73,6 +77,27 @@ TEST(CoalescerProperty, MatchesNaiveReferenceOverRandomWarps)
             inst.lanes.push_back(rng.below(span));
         expectSameRequests(coalesce(inst), referenceCoalesce(inst),
                            seed);
+        coalesceInto(inst, scratch);
+        expectSameRequests(scratch, referenceCoalesce(inst), seed);
+    }
+}
+
+TEST(CoalescerProperty, ReusedScratchMatchesReferenceBeyondWarpWidth)
+{
+    // Lane counts straddle kWarpLanes (fuzzed traces are unbounded),
+    // alternating through the same scratch.
+    std::vector<SectorRequest> scratch;
+    for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+        Xoshiro256 rng(seed);
+        WarpInst inst;
+        inst.isMem = true;
+        inst.isWrite = rng.below(2) == 1;
+        const unsigned lanes = 1 + static_cast<unsigned>(rng.below(96));
+        const Addr span = seed % 2 == 0 ? 4096 : (16u << 20);
+        for (unsigned i = 0; i < lanes; ++i)
+            inst.lanes.push_back(rng.below(span));
+        coalesceInto(inst, scratch);
+        expectSameRequests(scratch, referenceCoalesce(inst), seed);
     }
 }
 
