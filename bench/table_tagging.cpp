@@ -29,13 +29,10 @@ violationTrace(unsigned violations)
     std::vector<WarpInst> warp;
     const std::size_t lines = size / kLineBytes;
     for (std::size_t i = 0; i < 512; ++i) {
-        WarpInst inst;
-        inst.isMem = true;
         // Each access reads a distinct line so cached data never
         // masks the memory-side tag check.
         const Addr base = (i % lines) * kLineBytes;
-        for (std::size_t lane = 0; lane < kWarpLanes; ++lane)
-            inst.lanes.push_back(base + lane * 4);
+        WarpInst inst = WarpInst::affine(base, kWarpLanes, false);
         if (i < violations)
             inst.tagOverride = 0x11;
         warp.push_back(inst);

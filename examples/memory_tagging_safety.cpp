@@ -36,11 +36,8 @@ buggyKernel(unsigned bad_accesses)
     std::vector<WarpInst> warp;
     const std::size_t lines = kBufferBytes / kLineBytes;
     for (std::size_t i = 0; i < 1024; ++i) {
-        WarpInst inst;
-        inst.isMem = true;
         const Addr base = (i % lines) * kLineBytes;
-        for (std::size_t lane = 0; lane < kWarpLanes; ++lane)
-            inst.lanes.push_back(base + lane * 4);
+        WarpInst inst = WarpInst::affine(base, kWarpLanes, false);
         if (i % (1024 / bad_accesses) == 7)
             inst.tagOverride = kStaleTag; // the dangling pointer
         warp.push_back(inst);

@@ -250,6 +250,15 @@ class GpuSystem
     DramSystem &dram() { return *dram_; }
     L2Slice &slice(std::size_t i) { return *slices_[i]; }
     std::size_t numSlices() const { return slices_.size(); }
+    /** Host pages materialized by all slices' metadata shadows. */
+    std::size_t
+    metaShadowPages() const
+    {
+        std::size_t pages = 0;
+        for (const auto &shadow : metaShadows_)
+            pages += shadow->numPages();
+        return pages;
+    }
     /** The lifecycle-trace hub (always present; may be inactive). */
     telemetry::Telemetry &telemetry() { return *telemetry_; }
     const telemetry::Telemetry &telemetry() const { return *telemetry_; }

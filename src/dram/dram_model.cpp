@@ -90,7 +90,7 @@ DramChannel::tryIssue()
 
     const std::size_t idx = pickNext();
     const std::uint32_t slot = queue_[idx].slot;
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+    queue_.erase(idx);
     // Served in place: arena slots never move, and this one is released
     // only after its completion has been scheduled.
     Pending &pending = pending_[slot];

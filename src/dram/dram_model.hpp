@@ -16,7 +16,6 @@
 #define CACHECRAFT_DRAM_DRAM_MODEL_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -24,6 +23,7 @@
 #include <vector>
 
 #include "common/arena.hpp"
+#include "common/ring_queue.hpp"
 #include "common/types.hpp"
 #include "dram/address_map.hpp"
 #include "dram/storage.hpp"
@@ -147,7 +147,7 @@ class DramChannel
     telemetry::Telemetry *telemetry_;
 
     SlabArena<Pending> pending_;
-    std::deque<QueueKey> queue_; //!< arrival order
+    RingQueue<QueueKey> queue_; //!< arrival order
     std::vector<BankState> banks_;
     Cycle busFreeAt_ = 0;
     bool issueScheduled_ = false;

@@ -18,7 +18,6 @@
 #ifndef CACHECRAFT_GPU_L2_SLICE_HPP
 #define CACHECRAFT_GPU_L2_SLICE_HPP
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -26,6 +25,7 @@
 
 #include "cache/mshr.hpp"
 #include "cache/sectored_cache.hpp"
+#include "common/ring_queue.hpp"
 #include "gpu/event_queue.hpp"
 #include "protect/scheme.hpp"
 
@@ -152,7 +152,7 @@ class L2Slice
     /** Outstanding sector fetches and the reads waiting on them. */
     MshrFile mshrs_;
     /** Reads stalled on a full MSHR file; drained on release. */
-    std::deque<BlockedRead> blocked_;
+    RingQueue<BlockedRead> blocked_;
     Cycle nextServiceAt_ = 0;
 };
 

@@ -22,7 +22,6 @@
 #ifndef CACHECRAFT_GPU_SM_CORE_HPP
 #define CACHECRAFT_GPU_SM_CORE_HPP
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -30,6 +29,7 @@
 
 #include "cache/mshr.hpp"
 #include "cache/sectored_cache.hpp"
+#include "common/ring_queue.hpp"
 #include "ecc/codec.hpp"
 #include "gpu/coalescer.hpp"
 #include "gpu/event_queue.hpp"
@@ -161,14 +161,14 @@ class SmCore
     /** Outstanding L1 sector misses and their waiting sectors. */
     MshrFile l1Mshrs_;
     /** Sector requests stalled on a full L1 MSHR file. */
-    std::deque<BlockedSector> blocked_;
+    RingQueue<BlockedSector> blocked_;
 
     std::vector<WarpState> warps_;
     /** startMemory's coalescer output, reused across instructions. */
     std::vector<SectorRequest> sectors_;
     /** True while startMemory iterates sectors_. */
     bool sectorsLive_ = false;
-    std::deque<std::size_t> readyQueue_;
+    RingQueue<std::size_t> readyQueue_;
     std::size_t warpsDone_ = 0;
     Cycle nextIssueAt_ = 0;
     bool issueScheduled_ = false;

@@ -129,10 +129,11 @@ ProtectionScheme::checkOffset(Addr logical) const
 Addr
 ProtectionScheme::shadowCheckAddr(Addr logical) const
 {
-    // Shadow shares the per-channel flat addressing used by storage.
-    return static_cast<Addr>(ctx_.channel) *
-               ctx_.map->geometry().channelCapacity +
-           eccPhys(logical) + checkOffset(logical);
+    // Dense: each slice owns its shadow, and a chunk's eight check
+    // fields sit at (local chunk index) x 32 B in sector order, like
+    // an ECC chunk, so the shadow costs 1/8 of the data it covers.
+    return local(logical) / kChunkBytes * sizeof(ecc::ChunkCheck) +
+           checkOffset(logical);
 }
 
 namespace {

@@ -201,7 +201,8 @@ class ProtectionScheme
     Addr eccPhys(Addr logical) const;
     /** Byte offset of this sector's check bytes inside its chunk. */
     std::size_t checkOffset(Addr logical) const;
-    /** Absolute shadow address of this sector's check bytes. */
+    /** This sector's check bytes in the slice's dense shadow: local
+     *  chunk index x 32 B + sector x 4 B. */
     Addr shadowCheckAddr(Addr logical) const;
 
     /** Enqueue a data-sector DRAM transaction. */

@@ -105,13 +105,8 @@ FuzzCase::toTrace() const
     // indices with no instructions; an instruction-less warp stream
     // is pointless and SM scheduling never needs the gap preserved).
     std::map<unsigned, std::vector<WarpInst>> streams;
-    for (const FuzzAccess &a : accesses) {
-        WarpInst inst;
-        inst.isMem = true;
-        inst.isWrite = a.isWrite;
-        inst.lanes = a.lanes;
-        streams[a.warp].push_back(std::move(inst));
-    }
+    for (const FuzzAccess &a : accesses)
+        streams[a.warp].push_back(trace.memInst(a.lanes, a.isWrite));
     for (auto &entry : streams)
         trace.warps.push_back(std::move(entry.second));
     trace.regions.push_back({regionBase, regionBytes, tag});

@@ -2,8 +2,10 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/log.hpp"
+#include "common/parse_number.hpp"
 
 namespace cachecraft {
 
@@ -30,7 +32,7 @@ saveTrace(const KernelTrace &trace, std::ostream &out)
             else
                 out << "-";
             out << std::hex;
-            for (Addr lane : inst.lanes)
+            for (const Addr lane : inst.lanes())
                 out << " 0x" << lane;
             out << std::dec << "\n";
         }
@@ -52,6 +54,7 @@ loadTrace(std::istream &in, std::string *error)
         error->clear();
 
     std::string line;
+    std::vector<Addr> lanes; // one memory instruction's, reused
     std::size_t line_no = 0;
     bool saw_header = false;
     bool saw_end = false;
@@ -94,33 +97,36 @@ loadTrace(std::istream &in, std::string *error)
         } else if (op == "c") {
             if (trace.warps.empty())
                 return fail("instruction before any 'warp'", line_no);
-            WarpInst inst;
-            if (!(ls >> inst.computeCycles))
+            Cycle cycles = 0;
+            if (!(ls >> cycles))
                 return fail("malformed compute inst", line_no);
-            trace.warps.back().push_back(std::move(inst));
+            trace.warps.back().push_back(WarpInst::compute(cycles));
         } else if (op == "ld" || op == "st") {
             if (trace.warps.empty())
                 return fail("instruction before any 'warp'", line_no);
-            WarpInst inst;
-            inst.isMem = true;
-            inst.isWrite = (op == "st");
+            Cycle compute = 0;
+            std::int16_t tag_override = -1;
             std::string tag_tok;
-            if (!(ls >> inst.computeCycles >> tag_tok))
+            if (!(ls >> compute >> tag_tok))
                 return fail("malformed memory inst", line_no);
             if (tag_tok != "-") {
-                const int tag = std::stoi(tag_tok);
-                if (tag < 0 || tag > 255)
-                    return fail("tag out of range", line_no);
-                inst.tagOverride = static_cast<std::int16_t>(tag);
+                std::string why;
+                const auto tag = parseUnsigned(tag_tok, 255, &why);
+                if (!tag)
+                    return fail("tag " + why, line_no);
+                tag_override = static_cast<std::int16_t>(*tag);
             }
+            lanes.clear();
             Addr addr = 0;
             while (ls >> std::hex >> addr)
-                inst.lanes.push_back(addr);
-            if (inst.lanes.empty())
+                lanes.push_back(addr);
+            if (lanes.empty())
                 return fail("memory inst without lanes", line_no);
-            if (inst.lanes.size() > kWarpLanes)
+            if (lanes.size() > kWarpLanes)
                 return fail("more lanes than warp width", line_no);
-            trace.warps.back().push_back(std::move(inst));
+            WarpInst inst = trace.memInst(lanes, op == "st", compute);
+            inst.tagOverride = tag_override;
+            trace.warps.back().push_back(inst);
         } else if (op == "end") {
             saw_end = true;
             break;

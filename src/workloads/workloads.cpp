@@ -1,6 +1,7 @@
 #include "workloads/workloads.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/bits.hpp"
@@ -20,36 +21,83 @@ constexpr ecc::MemTag kTagC = 0x33;
 WarpInst
 coalescedInst(Addr base, bool is_write, Cycle compute)
 {
-    WarpInst inst;
-    inst.isMem = true;
-    inst.isWrite = is_write;
-    inst.computeCycles = compute;
-    inst.lanes.reserve(kWarpLanes);
-    for (std::size_t lane = 0; lane < kWarpLanes; ++lane)
-        inst.lanes.push_back(base + lane * 4);
-    return inst;
+    return WarpInst::affine(base, kWarpLanes, is_write, compute);
 }
 
-/** A warp instruction with per-lane explicit addresses. */
-WarpInst
-gatherInst(std::vector<Addr> lanes, bool is_write, Cycle compute)
+/** Side of the square n x n float matrices of gemm and transpose. */
+std::size_t
+squareSide(const WorkloadParams &p)
 {
-    WarpInst inst;
-    inst.isMem = true;
-    inst.isWrite = is_write;
-    inst.computeCycles = compute;
-    inst.lanes = std::move(lanes);
-    return inst;
+    return std::size_t(1) << log2Floor(std::uint64_t(
+               std::sqrt(double(p.footprintBytes / 2 / 4))));
 }
 
-/** A pure-compute instruction of @p cycles. */
-WarpInst
-computeInst(Cycle cycles)
+/** Row width, in 4 B cells, of the stencil's square-ish grid filling
+ *  half the footprint per array (in + out). */
+std::size_t
+stencilWidth(const WorkloadParams &p)
 {
-    WarpInst inst;
-    inst.computeCycles = cycles;
-    return inst;
+    const std::size_t cells = p.footprintBytes / 2 / 4;
+    return std::max<std::size_t>(
+        kWarpLanes, std::size_t(1) << log2Floor(
+                        std::uint64_t(std::sqrt(double(cells)))));
 }
+
+/** Bytes of the histogram's bin array (4096 4 B bins). */
+constexpr std::size_t kHistogramBinBytes = 16 * 1024;
+
+/** The regions each kernel touches: the one place their sizes and
+ *  bases are derived, shared by the generators and regionBytes(). */
+std::vector<TaggedRegion>
+regionsOf(WorkloadKind kind, const WorkloadParams &p)
+{
+    const std::size_t fp = p.footprintBytes;
+    switch (kind) {
+      case WorkloadKind::kStreaming:
+      case WorkloadKind::kSpmv: {
+        const std::size_t half = fp / 2;
+        return {{0, half, kTagA}, {half, half, kTagB}};
+      }
+      case WorkloadKind::kStrided:
+      case WorkloadKind::kReduction:
+      case WorkloadKind::kRandomAccess:
+        return {{0, fp, kTagA}};
+      case WorkloadKind::kStencil2D: {
+        const std::size_t width = stencilWidth(p);
+        const std::size_t array = width * (fp / 2 / 4 / width) * 4;
+        return {{0, array, kTagA}, {array, array, kTagB}};
+      }
+      case WorkloadKind::kGemmTiled: {
+        const std::size_t n = squareSide(p);
+        const std::size_t matrix = n * n * 4;
+        return {{0, matrix, kTagA},
+                {matrix, matrix, kTagB},
+                {2 * matrix, matrix, kTagC}};
+      }
+      case WorkloadKind::kTranspose: {
+        const std::size_t n = squareSide(p);
+        const std::size_t matrix = n * n * 4;
+        return {{0, matrix, kTagA}, {matrix, matrix, kTagB}};
+      }
+      case WorkloadKind::kHistogram:
+        return {{0, fp, kTagA}, {fp, kHistogramBinBytes, kTagB}};
+    }
+    panic("unknown workload kind");
+}
+
+/** An empty trace of @p kind: its name and regions. */
+KernelTrace
+startTrace(WorkloadKind kind, const WorkloadParams &p)
+{
+    KernelTrace trace;
+    trace.name = toString(kind);
+    trace.regions = regionsOf(kind, p);
+    return trace;
+}
+
+/** Lane addresses of one warp instruction, built before they are
+ *  handed to KernelTrace::memInst (which keeps what it needs). */
+using LaneScratch = std::array<Addr, kWarpLanes>;
 
 /**
  * SAXPY-style streaming: y[i] = a*x[i] + y[i]. Each warp sweeps
@@ -58,14 +106,11 @@ computeInst(Cycle cycles)
 KernelTrace
 makeStreaming(const WorkloadParams &p)
 {
-    KernelTrace trace;
-    trace.name = "streaming";
-    const std::size_t array = p.footprintBytes / 2;
-    const Addr base_x = 0;
-    const Addr base_y = array;
-    trace.regions = {{base_x, array, kTagA}, {base_y, array, kTagB}};
+    KernelTrace trace = startTrace(WorkloadKind::kStreaming, p);
+    const Addr base_x = trace.regions[0].base;
+    const Addr base_y = trace.regions[1].base;
 
-    const std::size_t tiles = array / kLineBytes;
+    const std::size_t tiles = trace.regions[0].size / kLineBytes;
     trace.warps.resize(p.numWarps);
     for (unsigned w = 0; w < p.numWarps; ++w) {
         for (std::size_t t = w; t < tiles; t += p.numWarps) {
@@ -89,24 +134,20 @@ makeStreaming(const WorkloadParams &p)
 KernelTrace
 makeStrided(const WorkloadParams &p)
 {
-    KernelTrace trace;
-    trace.name = "strided";
-    const std::size_t array = p.footprintBytes;
-    trace.regions = {{0, array, kTagA}};
+    KernelTrace trace = startTrace(WorkloadKind::kStrided, p);
     constexpr std::size_t stride = 64;
     const std::size_t span = kWarpLanes * stride;
-    const std::size_t steps = array / span;
+    const std::size_t steps = trace.regions[0].size / span;
 
     trace.warps.resize(p.numWarps);
+    LaneScratch lanes;
     for (unsigned w = 0; w < p.numWarps; ++w) {
         for (std::size_t step = w; step < steps; step += p.numWarps) {
             const Addr base = static_cast<Addr>(step) * span;
-            std::vector<Addr> lanes;
-            lanes.reserve(kWarpLanes);
             for (std::size_t lane = 0; lane < kWarpLanes; ++lane)
-                lanes.push_back(base + lane * stride);
+                lanes[lane] = base + lane * stride;
             trace.warps[w].push_back(
-                gatherInst(std::move(lanes), false, p.computeCycles));
+                trace.memInst(lanes, false, p.computeCycles));
         }
     }
     return trace;
@@ -119,24 +160,13 @@ makeStrided(const WorkloadParams &p)
 KernelTrace
 makeStencil2d(const WorkloadParams &p)
 {
-    KernelTrace trace;
-    trace.name = "stencil2d";
-    // Square-ish grid of 4 B cells filling half the footprint per
-    // array (in + out).
-    const std::size_t cells = p.footprintBytes / 2 / 4;
-    const std::size_t width =
-        std::max<std::size_t>(kWarpLanes,
-                              std::size_t(1)
-                                  << log2Floor(std::uint64_t(
-                                         std::sqrt(double(cells)))));
-    const std::size_t height = cells / width;
-    const std::size_t array = width * height * 4;
-    const Addr base_in = 0;
-    const Addr base_out = array;
-    trace.regions = {{base_in, array, kTagA}, {base_out, array, kTagB}};
+    KernelTrace trace = startTrace(WorkloadKind::kStencil2D, p);
+    const std::size_t width = stencilWidth(p);
+    const std::size_t height = trace.regions[0].size / 4 / width;
+    const Addr base_in = trace.regions[0].base;
+    const Addr base_out = trace.regions[1].base;
 
     trace.warps.resize(p.numWarps);
-    std::size_t row_blocks = (width / kWarpLanes) * (height - 2);
     std::size_t block = 0;
     for (std::size_t y = 1; y + 1 < height; ++y) {
         for (std::size_t x = 0; x + kWarpLanes <= width;
@@ -158,7 +188,6 @@ makeStencil2d(const WorkloadParams &p)
                 base_out + (y * width + x) * 4, true, p.computeCycles));
         }
     }
-    (void)row_blocks;
     return trace;
 }
 
@@ -170,19 +199,12 @@ makeStencil2d(const WorkloadParams &p)
 KernelTrace
 makeGemmTiled(const WorkloadParams &p)
 {
-    KernelTrace trace;
-    trace.name = "gemm";
     // n x n float matrices sized so A+B+C fit ~1.5x footprint.
-    const std::size_t n = std::size_t(1)
-                          << log2Floor(std::uint64_t(std::sqrt(
-                                 double(p.footprintBytes / 2 / 4))));
-    const std::size_t matrix = n * n * 4;
-    const Addr base_a = 0;
-    const Addr base_b = matrix;
-    const Addr base_c = 2 * matrix;
-    trace.regions = {{base_a, matrix, kTagA},
-                     {base_b, matrix, kTagB},
-                     {base_c, matrix, kTagC}};
+    KernelTrace trace = startTrace(WorkloadKind::kGemmTiled, p);
+    const std::size_t n = squareSide(p);
+    const Addr base_a = trace.regions[0].base;
+    const Addr base_b = trace.regions[1].base;
+    const Addr base_c = trace.regions[2].base;
 
     constexpr std::size_t tile = 32;
     const std::size_t tiles = n / tile;
@@ -203,7 +225,7 @@ makeGemmTiled(const WorkloadParams &p)
                 warp.push_back(coalescedInst(a_row, false,
                                              p.computeCycles));
                 warp.push_back(coalescedInst(b_row, false, 0));
-                warp.push_back(computeInst(16));
+                warp.push_back(WarpInst::compute(16));
             }
             const Addr c_row = base_c + ((ti * tile) * n + tj * tile) * 4;
             warp.push_back(coalescedInst(c_row, false, 0));
@@ -220,17 +242,13 @@ makeGemmTiled(const WorkloadParams &p)
 KernelTrace
 makeTranspose(const WorkloadParams &p)
 {
-    KernelTrace trace;
-    trace.name = "transpose";
-    const std::size_t n = std::size_t(1)
-                          << log2Floor(std::uint64_t(std::sqrt(
-                                 double(p.footprintBytes / 2 / 4))));
-    const std::size_t matrix = n * n * 4;
-    const Addr base_in = 0;
-    const Addr base_out = matrix;
-    trace.regions = {{base_in, matrix, kTagA}, {base_out, matrix, kTagB}};
+    KernelTrace trace = startTrace(WorkloadKind::kTranspose, p);
+    const std::size_t n = squareSide(p);
+    const Addr base_in = trace.regions[0].base;
+    const Addr base_out = trace.regions[1].base;
 
     trace.warps.resize(p.numWarps);
+    LaneScratch lanes;
     std::size_t block = 0;
     for (std::size_t y = 0; y < n; ++y) {
         for (std::size_t x = 0; x + kWarpLanes <= n;
@@ -238,13 +256,9 @@ makeTranspose(const WorkloadParams &p)
             auto &warp = trace.warps[block % p.numWarps];
             warp.push_back(coalescedInst(
                 base_in + (y * n + x) * 4, false, p.computeCycles));
-            std::vector<Addr> lanes;
-            lanes.reserve(kWarpLanes);
             for (std::size_t lane = 0; lane < kWarpLanes; ++lane)
-                lanes.push_back(base_out + ((x + lane) * n + y) * 4);
-            trace.warps[block % p.numWarps].push_back(
-                gatherInst(std::move(lanes), true, 0));
-            (void)warp;
+                lanes[lane] = base_out + ((x + lane) * n + y) * 4;
+            warp.push_back(trace.memInst(lanes, true, 0));
         }
     }
     return trace;
@@ -257,13 +271,10 @@ makeTranspose(const WorkloadParams &p)
 KernelTrace
 makeReduction(const WorkloadParams &p)
 {
-    KernelTrace trace;
-    trace.name = "reduction";
-    const std::size_t array = p.footprintBytes;
-    trace.regions = {{0, array, kTagA}};
+    KernelTrace trace = startTrace(WorkloadKind::kReduction, p);
 
     trace.warps.resize(p.numWarps);
-    std::size_t active = array;
+    std::size_t active = trace.regions[0].size;
     while (active >= 2 * kLineBytes) {
         const std::size_t half = active / 2;
         const std::size_t tiles = half / kLineBytes;
@@ -287,33 +298,32 @@ makeReduction(const WorkloadParams &p)
 KernelTrace
 makeHistogram(const WorkloadParams &p)
 {
-    KernelTrace trace;
-    trace.name = "histogram";
-    const std::size_t input = p.footprintBytes;
-    constexpr std::size_t bins_bytes = 16 * 1024; // 4096 4 B bins
-    const Addr base_bins = input;
-    trace.regions = {{0, input, kTagA}, {base_bins, bins_bytes, kTagB}};
+    KernelTrace trace = startTrace(WorkloadKind::kHistogram, p);
+    const Addr base_bins = trace.regions[1].base;
+    constexpr std::size_t bins_bytes = kHistogramBinBytes;
 
     Xoshiro256 rng(p.seed);
-    const std::size_t tiles = input / kLineBytes;
+    const std::size_t tiles = trace.regions[0].size / kLineBytes;
     trace.warps.resize(p.numWarps);
+    LaneScratch lanes;
     for (std::size_t t = 0; t < tiles; ++t) {
         auto &warp = trace.warps[t % p.numWarps];
         warp.push_back(coalescedInst(static_cast<Addr>(t) * kLineBytes,
                                      false, p.computeCycles));
         // Each lane updates a random bin; values cluster (Gaussian-
         // ish via sum of draws) so some bins are hot.
-        std::vector<Addr> lanes;
-        lanes.reserve(kWarpLanes);
         for (std::size_t lane = 0; lane < kWarpLanes; ++lane) {
             const std::uint64_t bin =
                 (rng.below(bins_bytes / 8) + rng.below(bins_bytes / 8)) &
                 (bins_bytes / 4 - 1);
-            lanes.push_back(base_bins + bin * 4);
+            lanes[lane] = base_bins + bin * 4;
         }
-        std::vector<Addr> store_lanes = lanes;
-        warp.push_back(gatherInst(std::move(lanes), false, 0));
-        warp.push_back(gatherInst(std::move(store_lanes), true, 0));
+        // The store reuses the load's lanes in the pool.
+        const WarpInst load = trace.memInst(lanes, false, 0);
+        WarpInst store = load;
+        store.isWrite = true;
+        warp.push_back(load);
+        warp.push_back(store);
     }
     return trace;
 }
@@ -325,21 +335,18 @@ makeHistogram(const WorkloadParams &p)
 KernelTrace
 makeRandomAccess(const WorkloadParams &p)
 {
-    KernelTrace trace;
-    trace.name = "random";
-    const std::size_t array = p.footprintBytes;
-    trace.regions = {{0, array, kTagA}};
+    KernelTrace trace = startTrace(WorkloadKind::kRandomAccess, p);
+    const std::size_t array = trace.regions[0].size;
 
     Xoshiro256 rng(p.seed);
     trace.warps.resize(p.numWarps);
+    LaneScratch lanes;
     for (unsigned w = 0; w < p.numWarps; ++w) {
         for (unsigned i = 0; i < p.memInstsPerWarp; ++i) {
-            std::vector<Addr> lanes;
-            lanes.reserve(kWarpLanes);
             for (std::size_t lane = 0; lane < kWarpLanes; ++lane)
-                lanes.push_back(rng.below(array / 4) * 4);
+                lanes[lane] = rng.below(array / 4) * 4;
             trace.warps[w].push_back(
-                gatherInst(std::move(lanes), false, p.computeCycles));
+                trace.memInst(lanes, false, p.computeCycles));
         }
     }
     return trace;
@@ -353,31 +360,28 @@ makeRandomAccess(const WorkloadParams &p)
 KernelTrace
 makeSpmv(const WorkloadParams &p)
 {
-    KernelTrace trace;
-    trace.name = "spmv";
-    const std::size_t values = p.footprintBytes / 2;
-    const std::size_t xvec = p.footprintBytes / 2;
-    const Addr base_x = values;
-    trace.regions = {{0, values, kTagA}, {base_x, xvec, kTagB}};
+    KernelTrace trace = startTrace(WorkloadKind::kSpmv, p);
+    const std::size_t values = trace.regions[0].size;
+    const Addr base_x = trace.regions[1].base;
+    const std::size_t xvec = trace.regions[1].size;
 
     Xoshiro256 rng(p.seed);
     const std::size_t hot = std::max<std::size_t>(1, xvec / 64);
     const std::size_t tiles = values / kLineBytes;
     trace.warps.resize(p.numWarps);
+    LaneScratch lanes;
     for (std::size_t t = 0; t < tiles; ++t) {
         auto &warp = trace.warps[t % p.numWarps];
         // Row values + column indices (one stream stands for both).
         warp.push_back(coalescedInst(static_cast<Addr>(t) * kLineBytes,
                                      false, p.computeCycles));
         // Gather x[col]: 70 % of lanes hit the hot head.
-        std::vector<Addr> lanes;
-        lanes.reserve(kWarpLanes);
         for (std::size_t lane = 0; lane < kWarpLanes; ++lane) {
             const bool is_hot = rng.chance(0.7);
             const std::size_t pool = is_hot ? hot : xvec;
-            lanes.push_back(base_x + rng.below(pool / 4) * 4);
+            lanes[lane] = base_x + rng.below(pool / 4) * 4;
         }
-        warp.push_back(gatherInst(std::move(lanes), false, 0));
+        warp.push_back(trace.memInst(lanes, false, 0));
     }
     return trace;
 }
@@ -418,6 +422,15 @@ allWorkloads()
             WorkloadKind::kTranspose,  WorkloadKind::kReduction,
             WorkloadKind::kHistogram,  WorkloadKind::kRandomAccess,
             WorkloadKind::kSpmv};
+}
+
+std::size_t
+regionBytes(WorkloadKind kind, const WorkloadParams &params)
+{
+    std::size_t end = 0;
+    for (const TaggedRegion &region : regionsOf(kind, params))
+        end = std::max<std::size_t>(end, region.base + region.size);
+    return end;
 }
 
 KernelTrace

@@ -64,6 +64,13 @@ struct WorkloadParams
     std::uint64_t seed = 7;
 };
 
+/**
+ * Bytes of device memory the @p kind kernel spans under @p params: the
+ * end of its highest region, computed without generating the trace.
+ * Check it against AddressMap::usableBytesTotal() before generation.
+ */
+std::size_t regionBytes(WorkloadKind kind, const WorkloadParams &params);
+
 /** Generate the @p kind kernel under @p params. */
 KernelTrace makeWorkload(WorkloadKind kind, const WorkloadParams &params);
 

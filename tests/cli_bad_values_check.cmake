@@ -3,7 +3,7 @@
 # Run as a ctest script:
 #
 #   cmake -DTRACE_TOOL=... -DSIM_TOOL=... -DSWEEP_TOOL=...
-#         -DHOSTPROF_TOOL=... -P cli_bad_values_check.cmake
+#         -DHOSTPROF_TOOL=... [-DASAN=ON] -P cli_bad_values_check.cmake
 
 foreach(var TRACE_TOOL SIM_TOOL SWEEP_TOOL HOSTPROF_TOOL)
     if(NOT DEFINED ${var})
@@ -95,4 +95,71 @@ execute_process(COMMAND "${SIM_TOOL}" --trace "${trace_file}"
 file(REMOVE "${trace_file}")
 if(NOT rc STREQUAL "0")
     message(FATAL_ERROR "--trace with machine knobs exited ${rc}:\n${err}")
+endif()
+
+# A kernel larger than the device's usable memory is rejected before
+# generation, not by std::bad_alloc while the trace is built (exit
+# 134) nor by initialize() after it. A memory cap makes a regression
+# fail fast instead of growing the trace in host memory: an address-
+# space limit, or under ASan (whose shadow reservation that limit
+# breaks) ASan's own RSS limit.
+if(ASAN)
+    set(asan_options "hard_rss_limit_mb=2000")
+    if(DEFINED ENV{ASAN_OPTIONS})
+        set(asan_options "$ENV{ASAN_OPTIONS}:${asan_options}")
+    endif()
+    set(capped "${CMAKE_COMMAND}" -E env "ASAN_OPTIONS=${asan_options}")
+else()
+    set(capped sh -c "ulimit -v 2000000 && exec \"$@\"" sh)
+endif()
+function(expect_too_big)
+    execute_process(COMMAND ${capped} ${ARGN}
+                    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_VARIABLE out)
+    if(NOT rc STREQUAL "1")
+        message(FATAL_ERROR "${ARGN}: exited ${rc}, want 1:\n${err}")
+    endif()
+    if(NOT err MATCHES "bytes of usable device memory")
+        message(FATAL_ERROR "${ARGN}: no footprint diagnostic:\n${err}")
+    endif()
+endfunction()
+expect_too_big("${SIM_TOOL}" --workload streaming --footprint-mib 16384)
+expect_too_big("${HOSTPROF_TOOL}" --workload histogram
+               --footprint-mib 16384 --quiet)
+
+# In a campaign the oversized point fails alone: the sweep exits 1
+# (failed points) and the point beside it still writes its report.
+set(big_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_check_oversized")
+set(big_spec "${big_dir}.json")
+file(REMOVE_RECURSE "${big_dir}")
+file(WRITE "${big_spec}" [=[
+{
+  "schema": "cachecraft.campaign_spec/1",
+  "name": "oversized",
+  "base": {"workload": "streaming", "warps": 8, "scheme": "no-ecc"},
+  "grid": {"footprint_mib": [1, 16384]}
+}
+]=])
+execute_process(COMMAND ${capped}
+                        "${SWEEP_TOOL}" "${big_spec}" --out "${big_dir}"
+                        --jobs 1 --quiet
+                RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(EXISTS "${big_dir}/campaign_manifest.json")
+    file(READ "${big_dir}/campaign_manifest.json" manifest)
+else()
+    set(manifest "")
+endif()
+file(GLOB big_reports "${big_dir}/reports/*.json")
+file(REMOVE_RECURSE "${big_dir}")
+file(REMOVE "${big_spec}")
+if(NOT rc STREQUAL "1")
+    message(FATAL_ERROR "oversized campaign exited ${rc}, want 1:\n${err}")
+endif()
+if(NOT manifest MATCHES "bytes of usable device memory")
+    message(FATAL_ERROR "oversized point's error not in the manifest:\n"
+                        "${manifest}")
+endif()
+list(LENGTH big_reports n_reports)
+if(NOT n_reports EQUAL 1)
+    message(FATAL_ERROR "oversized campaign wrote ${n_reports} reports, "
+                        "want 1 (the valid point)")
 endif()

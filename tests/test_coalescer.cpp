@@ -10,14 +10,12 @@
 namespace cachecraft {
 namespace {
 
+/** An explicit-lane instruction over @p lanes (which every caller
+ *  keeps alive until coalescing returns). */
 WarpInst
-memInst(std::vector<Addr> lanes, bool write = false)
+memInst(const std::vector<Addr> &lanes, bool write = false)
 {
-    WarpInst inst;
-    inst.isMem = true;
-    inst.isWrite = write;
-    inst.lanes = std::move(lanes);
-    return inst;
+    return WarpInst::explicitLanes(lanes, write);
 }
 
 TEST(Coalescer, FullyCoalescedWarp)

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -548,8 +549,9 @@ class ReferenceQueue
  * Property test: a randomized self-rescheduling workload (deltas
  * spanning both sides of the wheel horizon, bursts of ties, random
  * runUntil interleavings, cross-domain messages posted between
- * slices) must execute in the identical order, each event in the same
- * domain, on the real engine and on the reference model, and nextAt()
+ * slices into cycles crowded with other messages and events) must
+ * execute in the identical order, each event in the same domain, on
+ * the real engine and on the reference model, and nextAt()
  * must equal the brute-force minimum of the pending cycles after every
  * schedule, post and runUntil.
  */
@@ -621,10 +623,23 @@ TEST(EventQueue, MatchesReferenceModelOnRandomSchedules)
             // with scheduled events and with each other on cycle.
             Cycle limit = 0;
             while (!q.empty()) {
-                const int posts = static_cast<int>(rng.next() % 4);
+                const int posts = static_cast<int>(rng.next() % 6);
                 for (int m = 0; m < posts && budget > 0; ++m, --budget) {
                     const std::uint64_t r = rng.next();
-                    const Cycle at = q.now() + 1 + (r >> 8) % 5000;
+                    // Narrow delivery windows, so messages share cycles
+                    // with each other (out of key order) and with
+                    // events: half join a pending cycle (a far one
+                    // migrates into a slot that already holds events),
+                    // the rest land within 8 cycles of now or of the
+                    // wheel horizon.
+                    Cycle at = q.now() + 1 + (r >> 8) % 8 +
+                               (r % 3 == 1 ? 4096 : 0);
+                    const auto later = pending.upper_bound(q.now());
+                    const auto choices = static_cast<std::uint64_t>(
+                        std::distance(later, pending.end()));
+                    if (r % 2 == 0 && choices > 0)
+                        at = *std::next(later, static_cast<std::ptrdiff_t>(
+                                                   (r >> 16) % choices));
                     const Cycle sent =
                         q.now() - std::min<Cycle>(q.now(), (r >> 40) % 2);
                     const auto src = static_cast<std::uint32_t>(r % 3);

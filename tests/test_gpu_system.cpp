@@ -247,6 +247,24 @@ TEST(GpuSystem, GoldenStateIsPatternOfStoreCount)
     EXPECT_EQ(audit.uncorrectable, 0u);
 }
 
+TEST(GpuSystem, MetadataShadowIsDense)
+{
+    // The co-located layout interleaves ECC chunks with data rows; the
+    // host-side shadow must not: an 8 MiB point's check bytes (1 MiB)
+    // fit in 256 pages, plus at most one partial page per slice.
+    SystemConfig cfg;
+    cfg.scheme = SchemeKind::kCacheCraft;
+    ASSERT_EQ(cfg.effectiveLayout(), EccLayout::kCoLocated);
+    WorkloadParams params;
+    params.footprintBytes = 8 * 1024 * 1024;
+    GpuSystem gpu(cfg);
+    gpu.initialize(makeWorkload(WorkloadKind::kStreaming, params));
+    constexpr std::size_t kCheckPages =
+        8 * 1024 * 1024 / 8 / SparseMemory::kPageBytes;
+    EXPECT_GE(gpu.metaShadowPages(), kCheckPages);
+    EXPECT_LE(gpu.metaShadowPages(), kCheckPages + gpu.numSlices());
+}
+
 TEST(GpuSystemDeathTest, DoubleRunPanics)
 {
     GpuSystem gpu(smallConfig(SchemeKind::kNone));

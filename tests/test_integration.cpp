@@ -34,21 +34,14 @@ taggedTrace(bool include_violation)
     trace.regions = {{0, 64 * 1024, 0x5A}};
     std::vector<WarpInst> warp;
     for (int i = 0; i < 16; ++i) {
-        WarpInst inst;
-        inst.isMem = true;
-        for (std::size_t lane = 0; lane < kWarpLanes; ++lane)
-            inst.lanes.push_back(
-                static_cast<Addr>(i) * kLineBytes + lane * 4);
-        warp.push_back(inst);
+        warp.push_back(WarpInst::affine(static_cast<Addr>(i) * kLineBytes,
+                                        kWarpLanes, false));
     }
     if (include_violation) {
-        WarpInst bad;
-        bad.isMem = true;
-        bad.tagOverride = 0x11; // stale pointer: wrong tag
         // A fresh line, so the access must go to memory and be
         // tag-checked rather than served from a cache.
-        for (std::size_t lane = 0; lane < kWarpLanes; ++lane)
-            bad.lanes.push_back(32 * kLineBytes + lane * 4);
+        WarpInst bad = WarpInst::affine(32 * kLineBytes, kWarpLanes, false);
+        bad.tagOverride = 0x11; // stale pointer: wrong tag
         warp.push_back(bad);
     }
     trace.warps.push_back(std::move(warp));

@@ -57,12 +57,20 @@ struct SmHarness
 WarpInst
 load(Addr base)
 {
-    WarpInst inst;
-    inst.isMem = true;
-    inst.lanes.reserve(kWarpLanes);
-    for (std::size_t i = 0; i < kWarpLanes; ++i)
-        inst.lanes.push_back(base + i * 4);
-    return inst;
+    return WarpInst::affine(base, kWarpLanes, false);
+}
+
+/** A fully divergent load: lane i reads page i. */
+WarpInst
+divergentLoad()
+{
+    static const std::vector<Addr> lanes = [] {
+        std::vector<Addr> out;
+        for (std::size_t i = 0; i < kWarpLanes; ++i)
+            out.push_back(i * 4096);
+        return out;
+    }();
+    return WarpInst::explicitLanes(lanes, false);
 }
 
 WarpInst
@@ -76,9 +84,7 @@ store(Addr base)
 WarpInst
 alu(Cycle cycles)
 {
-    WarpInst inst;
-    inst.computeCycles = cycles;
-    return inst;
+    return WarpInst::compute(cycles);
 }
 
 TEST(SmCore, ExecutesAllInstructions)
@@ -148,11 +154,7 @@ TEST(SmCore, WarpLevelParallelismHidesLatency)
 TEST(SmCore, DivergentLoadTakesManySectors)
 {
     SmHarness h;
-    WarpInst divergent;
-    divergent.isMem = true;
-    for (std::size_t i = 0; i < kWarpLanes; ++i)
-        divergent.lanes.push_back(i * 4096);
-    std::vector<WarpInst> program{divergent};
+    std::vector<WarpInst> program{divergentLoad()};
     h.sm->addWarp(&program);
     h.run();
     EXPECT_EQ(h.l2Reads, kWarpLanes);
@@ -161,11 +163,7 @@ TEST(SmCore, DivergentLoadTakesManySectors)
 TEST(SmCore, MshrLimitParksWithoutLosingRequests)
 {
     SmHarness h(8 * 1024, /* mshrs= */ 2);
-    WarpInst divergent;
-    divergent.isMem = true;
-    for (std::size_t i = 0; i < kWarpLanes; ++i)
-        divergent.lanes.push_back(i * 4096);
-    std::vector<WarpInst> program{divergent, alu(1)};
+    std::vector<WarpInst> program{divergentLoad(), alu(1)};
     h.sm->addWarp(&program);
     h.run();
     EXPECT_EQ(h.sm->statInsts.value(), 2u);
@@ -288,11 +286,7 @@ TEST(SmCore, VerifyDrainedReportsL1Residue)
     // One L1 MSHR, a fully divergent load, and a planted leak: the
     // first sector's L2 read never answers, so its MSHR entry stays
     // and the other 31 sectors stay parked behind it.
-    WarpInst divergent;
-    divergent.isMem = true;
-    for (std::size_t i = 0; i < kWarpLanes; ++i)
-        divergent.lanes.push_back(i * 4096);
-    std::vector<WarpInst> program{divergent};
+    std::vector<WarpInst> program{divergentLoad()};
 
     SmHarness leaky(8 * 1024, /* mshrs= */ 1);
     leaky.dropRead = 0;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gpu/coalescer.hpp"
 #include "workloads/workloads.hpp"
 
@@ -52,7 +54,7 @@ TEST_P(WorkloadContract, AllAccessesInsideRegions)
         for (const auto &inst : warp) {
             if (!inst.isMem)
                 continue;
-            for (Addr lane : inst.lanes)
+            for (Addr lane : inst.lanes())
                 ASSERT_TRUE(inside(lane))
                     << trace_.name << " lane 0x" << std::hex << lane;
         }
@@ -84,7 +86,8 @@ TEST_P(WorkloadContract, Deterministic)
     for (std::size_t w = 0; w < trace_.warps.size(); ++w) {
         ASSERT_EQ(again.warps[w].size(), trace_.warps[w].size());
         for (std::size_t i = 0; i < trace_.warps[w].size(); ++i) {
-            EXPECT_EQ(again.warps[w][i].lanes, trace_.warps[w][i].lanes);
+            EXPECT_TRUE(std::ranges::equal(again.warps[w][i].lanes(),
+                                           trace_.warps[w][i].lanes()));
             EXPECT_EQ(again.warps[w][i].isWrite,
                       trace_.warps[w][i].isWrite);
         }
@@ -95,7 +98,7 @@ TEST_P(WorkloadContract, LanesBoundedByWarpWidth)
 {
     for (const auto &warp : trace_.warps)
         for (const auto &inst : warp)
-            EXPECT_LE(inst.lanes.size(), kWarpLanes);
+            EXPECT_LE(inst.laneCount(), kWarpLanes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -218,7 +221,8 @@ TEST(WorkloadSignatures, DifferentSeedsChangeRandomKernels)
     b.seed = a.seed + 1;
     const auto ta = makeWorkload(WorkloadKind::kRandomAccess, a);
     const auto tb = makeWorkload(WorkloadKind::kRandomAccess, b);
-    EXPECT_NE(ta.warps[0][0].lanes, tb.warps[0][0].lanes);
+    EXPECT_FALSE(std::ranges::equal(ta.warps[0][0].lanes(),
+                                    tb.warps[0][0].lanes()));
 }
 
 TEST(WorkloadNames, AllDistinct)
